@@ -14,9 +14,9 @@
 /// latency (successful GlobalAcquire/Steal events at any level), the
 /// parallel time and the finish CoV.
 ///
-/// Expected: depth 3 helps a little even at one rack (a relay pop is one
-/// lock epoch where the root's distributed calculation is two serialized
-/// RMA ops); from 32 nodes on it wins the acquire latency by an order of
+/// Expected: depth 3 helps a little even at one rack (a relay pop is priced
+/// as one access where the root's distributed calculation is priced as two
+/// serialized RMA ops); from 32 nodes on it wins the acquire latency by an order of
 /// magnitude, the same way sharding did — the tree is the composable form
 /// of that fix, and the two compose (a sharded middle level).
 

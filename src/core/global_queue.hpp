@@ -2,16 +2,18 @@
 /// \file global_queue.hpp
 /// The *global work queue* of the paper's Figure 1.
 ///
-/// An RMA window hosted on rank 0 of a communicator holding the two values
-/// of the distributed chunk-calculation protocol (the paper's ref [15]):
-/// the latest scheduling step and the total scheduled iterations. Any rank
-/// obtains a chunk with two atomic fetch-and-ops and a purely local
-/// chunk-size computation — no master process:
+/// An RMA window hosted on rank 0 of a communicator holding one value of
+/// the distributed chunk-calculation protocol (the paper's ref [15]): the
+/// latest scheduling step. Every rank builds the same dls::StepTable — the
+/// step-ordered tiling of the loop, a pure function of the technique and
+/// the loop parameters — so a chunk is one atomic fetch-and-op plus a local
+/// lookup, with no master process:
 ///
-///     step  <- fetch_and_op(+1, window[kStep])
-///     hint  <- chunk_size_for_step(technique, params, step)
-///     start <- fetch_and_op(+hint, window[kScheduled])
-///     size  <- min(hint, N - start)        // size <= 0 => loop exhausted
+///     step          <- fetch_and_op(+1, window[kStep])
+///     [start, size] <- table.at(step)      // step >= table.steps() => exhausted
+///
+/// Which chunk a step maps to never depends on timing, so the chunk
+/// multiset is the same on every run.
 ///
 /// The technique's "worker count" is the number of *level-1 schedulable
 /// entities* — compute nodes for the paper's inter-node level — which is
@@ -36,22 +38,12 @@ public:
     /// the window; everyone leaves through a barrier.
     GlobalWorkQueue(const minimpi::Comm& comm, std::int64_t total_iterations,
                     dls::Technique technique, int level_workers, std::int64_t min_chunk)
-        : comm_(comm), total_(total_iterations) {
-        params_.total_iterations = total_iterations;
-        params_.workers = level_workers;
-        params_.min_chunk = min_chunk;
-        params_.validate();
-        if (!dls::supports_step_indexed(technique)) {
-            throw minimpi::Error(minimpi::ErrorCode::InvalidArgument,
-                                 "GlobalWorkQueue: technique lacks a step-indexed form");
-        }
-        technique_ = technique;
+        : comm_(comm), technique_(technique), table_(make_table(technique, total_iterations,
+                                                                 level_workers, min_chunk)) {
         window_ = minimpi::Window::allocate_shared(
-            comm, comm.rank() == 0 ? 2 * sizeof(std::int64_t) : 0);
+            comm, comm.rank() == 0 ? sizeof(std::int64_t) : 0);
         if (comm.rank() == 0) {
-            auto cells = window_.shared_span<std::int64_t>(0);
-            cells[kStep] = 0;
-            cells[kScheduled] = 0;
+            window_.shared_span<std::int64_t>(0)[kStep] = 0;
         }
         window_.sync();
         comm_.barrier();
@@ -61,17 +53,12 @@ public:
     [[nodiscard]] std::optional<Chunk> try_acquire() override {
         const std::int64_t step =
             window_.fetch_and_op<std::int64_t>(1, 0, kStep, minimpi::AccumulateOp::Sum);
-        const std::int64_t hint = dls::chunk_size_for_step(technique_, params_, step);
-        if (hint <= 0) {
-            return std::nullopt;  // e.g. STATIC past its P chunks
-        }
-        const std::int64_t start =
-            window_.fetch_and_op<std::int64_t>(hint, 0, kScheduled, minimpi::AccumulateOp::Sum);
-        if (start >= total_) {
+        if (step >= table_.steps()) {
             return std::nullopt;
         }
+        const dls::StepRange range = table_.at(step);
         ++acquired_;
-        return Chunk{start, std::min(hint, total_ - start), step};
+        return Chunk{range.start, range.size, step};
     }
 
     /// Chunks acquired through *this* handle (per-rank statistic).
@@ -86,14 +73,27 @@ public:
     }
 
 private:
+    [[nodiscard]] static dls::StepTable make_table(dls::Technique technique,
+                                                   std::int64_t total_iterations,
+                                                   int level_workers, std::int64_t min_chunk) {
+        dls::LoopParams params;
+        params.total_iterations = total_iterations;
+        params.workers = level_workers;
+        params.min_chunk = min_chunk;
+        params.validate();
+        if (!dls::supports_step_indexed(technique)) {
+            throw minimpi::Error(minimpi::ErrorCode::InvalidArgument,
+                                 "GlobalWorkQueue: technique lacks a step-indexed form");
+        }
+        return dls::StepTable(technique, params);
+    }
+
     static constexpr std::size_t kStep = 0;
-    static constexpr std::size_t kScheduled = 1;
 
     minimpi::Comm comm_;
     minimpi::Window window_;
-    dls::LoopParams params_;
-    dls::Technique technique_{};
-    std::int64_t total_ = 0;
+    dls::Technique technique_;
+    dls::StepTable table_;
     std::int64_t acquired_ = 0;
 };
 

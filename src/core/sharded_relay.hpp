@@ -17,9 +17,9 @@
 /// interleave.
 ///
 /// The queue state lives in one group-hosted shared window accessed under
-/// the same exclusive-lock epochs as NodeWorkQueue (a relay is touched
-/// once per refill, not per iteration, so the lock is not the hotspot the
-/// leaf-level discussion of the paper revolves around); what the sharded
+/// exclusive-lock epochs (a relay is touched once per refill, not per
+/// iteration, so the lock is not the hotspot the leaf-level discussion of
+/// the paper revolves around); what the sharded
 /// policy changes is *ownership*: children drain their own share first and
 /// cross-child transfers are explicit steals, visible as level-tagged
 /// Steal events in the trace.

@@ -179,4 +179,55 @@ std::int64_t chunk_size_for_step(Technique t, const LoopParams& p, std::int64_t 
                                 " has no step-indexed form (see supports_step_indexed)");
 }
 
+StepTable::StepTable(Technique t, const LoopParams& p) : total_(p.total_iterations) {
+    if (!supports_step_indexed(t)) {
+        throw std::invalid_argument(std::string("StepTable: technique ") +
+                                    std::string(technique_name(t)) +
+                                    " has no step-indexed form");
+    }
+    if (total_ <= 0) {
+        total_ = 0;
+        return;
+    }
+    switch (t) {
+        case Technique::SS:
+        case Technique::FSC:
+            form_ = Form::Uniform;
+            unit_ = chunk_size_for_step(t, p, 0);
+            steps_ = ceil_div(total_, unit_);
+            return;
+        case Technique::Static:
+            form_ = Form::Static;
+            unit_ = total_ / p.workers;
+            extra_ = total_ % p.workers;
+            steps_ = std::min<std::int64_t>(total_, p.workers);
+            return;
+        default:
+            break;
+    }
+    bounds_.push_back(0);
+    for (std::int64_t start = 0; start < total_; ++steps_) {
+        const std::int64_t hint = chunk_size_for_step(t, p, steps_);
+        // A hint <= 0 before the loop is covered cannot happen for the
+        // supported techniques; taking the remainder keeps the tiling exact.
+        start += hint > 0 ? std::min(hint, total_ - start) : total_ - start;
+        bounds_.push_back(start);
+    }
+}
+
+StepRange StepTable::at(std::int64_t step) const noexcept {
+    switch (form_) {
+        case Form::Uniform: {
+            const std::int64_t start = step * unit_;
+            return {start, std::min(unit_, total_ - start)};
+        }
+        case Form::Static:
+            return {step * unit_ + std::min(step, extra_), unit_ + (step < extra_ ? 1 : 0)};
+        case Form::Prefix:
+            break;
+    }
+    const auto s = static_cast<std::size_t>(step);
+    return {bounds_[s], bounds_[s + 1] - bounds_[s]};
+}
+
 }  // namespace hdls::dls

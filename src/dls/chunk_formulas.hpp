@@ -9,19 +9,23 @@
 /// (Eleliemy & Ciorba, "Dynamic Loop Scheduling Using MPI Passive-Target
 /// Remote Memory Access", PDP 2019; the paper's ref [15]).
 ///
-/// The returned value is a *size hint*: because closed forms cannot track
-/// exact remaining-iteration counts under concurrent clamping, callers must
-/// clamp the hint against the shared `scheduled` counter:
+/// The returned value is a *size hint*. Its clamped form is a pure function
+/// of the step index too: step s covers [start_s, start_s + size_s) with
 ///
-///   step   = fetch_add(&queue.step, 1)
-///   hint   = chunk_size_for_step(tech, params, step)
-///   start  = fetch_add(&queue.scheduled, hint)   // then clamp:
-///   size   = min(hint, N - start)                // 0 or negative => done
+///   size_s  = min(hint_s, N - start_s)
+///   start_s = size_0 + ... + size_{s-1}     // a prefix sum, computed locally
+///
+/// StepTable holds that step-ordered tiling, so a queue hands out a chunk
+/// with *one* atomic — the step claim — and a local lookup:
+///
+///   step          = fetch_add(&queue.step, 1)
+///   [start, size] = StepTable(tech, params).at(step)   // step >= steps() => done
 ///
 /// The invariant tested by the suite: for every technique and every (N, P),
-/// iterating steps 0,1,2,... with that clamping covers [0, N) exactly once.
+/// the table's steps 0,1,2,... cover [0, N) exactly once, in order.
 
 #include <cstdint>
+#include <vector>
 
 #include "dls/params.hpp"
 #include "dls/technique.hpp"
@@ -35,6 +39,38 @@ namespace hdls::dls {
 /// Throws std::invalid_argument for techniques without a step-indexed form.
 [[nodiscard]] std::int64_t chunk_size_for_step(Technique t, const LoopParams& p,
                                                std::int64_t step, int worker = 0);
+
+/// One step's share of the iteration space: [start, start + size).
+struct StepRange {
+    std::int64_t start = 0;
+    std::int64_t size = 0;
+};
+
+/// The step-ordered tiling of [0, N) by a step-indexed technique: step s
+/// gets its chunk_size_for_step hint, clamped to the iterations left after
+/// steps 0..s-1. SS, FSC and STATIC use closed forms; the other techniques
+/// keep a prefix table of the step boundaries, built once (O(steps())).
+/// Throws std::invalid_argument for techniques without a step-indexed form.
+class StepTable {
+public:
+    StepTable(Technique t, const LoopParams& p);
+
+    /// Steps that tile [0, N); 0 for an empty loop.
+    [[nodiscard]] std::int64_t steps() const noexcept { return steps_; }
+
+    /// The range of `step`; precondition 0 <= step < steps().
+    [[nodiscard]] StepRange at(std::int64_t step) const noexcept;
+
+private:
+    enum class Form { Uniform, Static, Prefix };
+
+    Form form_ = Form::Prefix;
+    std::int64_t total_ = 0;
+    std::int64_t unit_ = 0;   ///< Uniform: the chunk size; Static: floor(N/P)
+    std::int64_t extra_ = 0;  ///< Static: N mod P (steps below it get one more)
+    std::int64_t steps_ = 0;
+    std::vector<std::int64_t> bounds_;  ///< Prefix: steps() + 1 step boundaries
+};
 
 // --- Individual closed forms (exposed for tests and documentation) ---------
 

@@ -165,7 +165,15 @@ ThreadTeam::Workshare& ThreadTeam::acquire_workshare(std::int64_t begin, std::in
     ws.chunk = std::max<std::int64_t>(opts.chunk, opts.schedule == Schedule::Static ? 0 : 1);
     ws.next.store(begin, std::memory_order_release);
     ws.step.store(0, std::memory_order_release);
-    ws.scheduled.store(0, std::memory_order_release);
+    ws.steps.reset();
+    if (opts.schedule == Schedule::Tss || opts.schedule == Schedule::Fac2) {
+        dls::LoopParams p;
+        p.total_iterations = end - begin;
+        p.workers = size();
+        p.min_chunk = ws.chunk;
+        ws.steps.emplace(
+            opts.schedule == Schedule::Tss ? dls::Technique::TSS : dls::Technique::FAC2, p);
+    }
     ws.done_threads.store(0, std::memory_order_release);
     return ws;
 }
@@ -243,23 +251,15 @@ void ThreadTeam::dispatch(Workshare& ws, const ForOptions& opts, const ChunkBody
         case Schedule::Tss:
         case Schedule::Fac2: {
             // Extension schedules via the step-indexed DLS formulas — the
-            // same distributed chunk-calculation protocol the MPI side uses.
-            dls::LoopParams p;
-            p.total_iterations = n;
-            p.workers = static_cast<int>(team);
-            p.min_chunk = std::max<std::int64_t>(ws.chunk, 1);
-            const auto tech =
-                ws.schedule == Schedule::Tss ? dls::Technique::TSS : dls::Technique::FAC2;
+            // same distributed chunk-calculation protocol the MPI side uses:
+            // one fetch-add claims a step, the step table gives its range.
             for (;;) {
                 const std::int64_t step = ws.step.fetch_add(1, std::memory_order_acq_rel);
-                const std::int64_t hint = dls::chunk_size_for_step(tech, p, step);
-                const std::int64_t start =
-                    ws.scheduled.fetch_add(hint, std::memory_order_acq_rel);
-                if (start >= n) {
+                if (step >= ws.steps->steps()) {
                     break;
                 }
-                const std::int64_t len = std::min(hint, n - start);
-                body(ws.begin + start, ws.begin + start + len, thread_id);
+                const dls::StepRange range = ws.steps->at(step);
+                body(ws.begin + range.start, ws.begin + range.start + range.size, thread_id);
             }
             break;
         }

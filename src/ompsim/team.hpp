@@ -15,9 +15,11 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
+#include "dls/chunk_formulas.hpp"
 #include "minimpi/host_topology.hpp"
 #include "ompsim/schedule.hpp"
 
@@ -97,7 +99,7 @@ private:
         Schedule schedule = Schedule::Static;
         std::atomic<std::int64_t> next{0};       // dynamic/guided cursor
         std::atomic<std::int64_t> step{0};       // tss/fac2 scheduling step
-        std::atomic<std::int64_t> scheduled{0};  // tss/fac2 scheduled count
+        std::optional<dls::StepTable> steps;     // tss/fac2 step -> range
         std::atomic<int> done_threads{0};        // for slot-exhaustion check
     };
 

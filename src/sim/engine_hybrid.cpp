@@ -159,9 +159,9 @@ SimReport simulate_hybrid_barrier(const ClusterSpec& cluster, const SimConfig& c
         p.total_iterations = size;
         p.workers = team;
         p.min_chunk = config.min_chunk;
+        const dls::StepTable slices(leaf_technique, p);
         FcfsResource counter(costs.omp_dequeue_s());
         std::int64_t step = 0;
-        std::int64_t scheduled = 0;
         std::vector<bool> done(static_cast<std::size_t>(team), false);
         int remaining_threads = team;
         while (remaining_threads > 0) {
@@ -181,8 +181,7 @@ SimReport simulate_hybrid_barrier(const ClusterSpec& cluster, const SimConfig& c
             const double dequeue_wait = std::max(0.0, before - best);
             w.lock_wait += dequeue_wait;
             w.overhead += completion - best;
-            const std::int64_t hint = dls::chunk_size_for_step(leaf_technique, p, step);
-            if (hint <= 0 || scheduled >= size) {
+            if (step >= slices.steps()) {
                 // Failed dequeue: the thread leaves the construct.
                 if (tracer.enabled()) {
                     tracer.record(trace::EventKind::LocalPop, best, completion, -1, -1,
@@ -193,10 +192,9 @@ SimReport simulate_hybrid_barrier(const ClusterSpec& cluster, const SimConfig& c
                 --remaining_threads;
                 continue;
             }
-            ++step;
-            const std::int64_t take = std::min(hint, size - scheduled);
-            const std::int64_t begin = start + scheduled;
-            scheduled += take;
+            const dls::StepRange range = slices.at(step++);
+            const std::int64_t take = range.size;
+            const std::int64_t begin = start + range.start;
             const double compute =
                 workload.range_cost(begin, begin + take) / cluster.speed(node);
             w.busy += compute;

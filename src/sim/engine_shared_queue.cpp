@@ -25,12 +25,20 @@ namespace hdls::sim::detail {
 
 namespace {
 
+/// One queued parent chunk, sliced by the leaf technique's step table —
+/// the same dls::StepTable the real NodeWorkQueue claims steps from.
 struct ChunkState {
     std::int64_t start = 0;
     std::int64_t size = 0;
-    std::int64_t sub_step = 0;
-    std::int64_t sub_scheduled = 0;
+    dls::StepTable slices;
+    std::int64_t step = 0;    ///< next unclaimed step
     double visible_at = 0.0;  ///< push completion; invisible to pops before
+
+    [[nodiscard]] bool exhausted() const noexcept { return step >= slices.steps(); }
+    /// Iterations already assigned (the claimed steps' prefix).
+    [[nodiscard]] std::int64_t scheduled() const noexcept {
+        return exhausted() ? size : slices.at(step).start;
+    }
 };
 
 struct NodeState {
@@ -133,31 +141,29 @@ SimReport simulate_shared_queue(const ClusterSpec& cluster, const SimConfig& con
         return {done, done, std::max(0.0, before - t)};
     };
 
+    const auto make_chunk = [&](std::int64_t start, std::int64_t size, double visible_at) {
+        dls::LoopParams p;
+        p.total_iterations = size;
+        p.workers = cluster.workers_per_node;
+        p.min_chunk = config.min_chunk;
+        return ChunkState{start, size, dls::StepTable(leaf_technique, p), 0, visible_at};
+    };
+
     const auto pop_visible = [&](NodeState& node, double at)
         -> std::optional<std::pair<std::int64_t, std::int64_t>> {
-        while (node.head < node.chunks.size() &&
-               node.chunks[node.head].sub_scheduled >= node.chunks[node.head].size) {
+        while (node.head < node.chunks.size() && node.chunks[node.head].exhausted()) {
             ++node.head;  // retire fully-allocated chunks
         }
         for (std::size_t i = node.head; i < node.chunks.size(); ++i) {
             ChunkState& c = node.chunks[i];
-            if (c.sub_scheduled >= c.size || c.visible_at > at) {
+            if (c.exhausted() || c.visible_at > at) {
                 continue;
             }
-            dls::LoopParams p;
-            p.total_iterations = c.size;
-            p.workers = cluster.workers_per_node;
-            p.min_chunk = config.min_chunk;
-            const std::int64_t hint =
-                dls::chunk_size_for_step(leaf_technique, p, c.sub_step);
-            const std::int64_t take =
-                hint > 0 ? std::min(hint, c.size - c.sub_scheduled) : c.size - c.sub_scheduled;
-            const std::int64_t begin = c.start + c.sub_scheduled;
-            c.sub_scheduled += take;
-            ++c.sub_step;
-            node.unallocated -= take;
-            assigned += take;
-            return std::pair{begin, begin + take};
+            const dls::StepRange range = c.slices.at(c.step++);
+            node.unallocated -= range.size;
+            assigned += range.size;
+            const std::int64_t begin = c.start + range.start;
+            return std::pair{begin, begin + range.size};
         }
         return std::nullopt;
     };
@@ -202,7 +208,8 @@ SimReport simulate_shared_queue(const ClusterSpec& cluster, const SimConfig& con
                 // Remainders not yet visible at the kill instant transfer
                 // too: the push lands in shared memory, which outlives the
                 // dead node's ranks (hence the max() on visibility below).
-                const std::int64_t rem = c.size - c.sub_scheduled;
+                const std::int64_t scheduled = c.scheduled();
+                const std::int64_t rem = c.size - scheduled;
                 if (rem <= 0) {
                     continue;
                 }
@@ -211,10 +218,10 @@ SimReport simulate_shared_queue(const ClusterSpec& cluster, const SimConfig& con
                 } while (target == fail.node);
                 NodeState& dst = nodes[static_cast<std::size_t>(target)];
                 dst.chunks.push_back(
-                    {c.start + c.sub_scheduled, rem, 0, 0, std::max(visible, c.visible_at)});
+                    make_chunk(c.start + scheduled, rem, std::max(visible, c.visible_at)));
                 dst.unallocated += rem;
                 report.reclaimed_iterations += rem;
-                c.sub_scheduled = c.size;
+                c.step = c.slices.steps();
             }
             dead.unallocated = 0;
         }
@@ -349,7 +356,7 @@ SimReport simulate_shared_queue(const ClusterSpec& cluster, const SimConfig& con
                 const QueueAccess push = access_queue(node, now);
                 w.lock_wait += push.wait;
                 w.overhead += push.released - now;
-                node.chunks.push_back({start, size, 0, 0, push.released});
+                node.chunks.push_back(make_chunk(start, size, push.released));
                 node.unallocated += size;
                 const auto sub = pop_visible(node, push.released);
                 // The fresh chunk is visible to us inside the epoch.
@@ -398,7 +405,7 @@ SimReport simulate_shared_queue(const ClusterSpec& cluster, const SimConfig& con
             double earliest = std::numeric_limits<double>::infinity();
             for (std::size_t i = node.head; i < node.chunks.size(); ++i) {
                 const ChunkState& c = node.chunks[i];
-                if (c.sub_scheduled < c.size) {
+                if (!c.exhausted()) {
                     earliest = std::min(earliest, c.visible_at);
                 }
             }

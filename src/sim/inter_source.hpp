@@ -10,10 +10,11 @@
 ///
 ///  * CentralizedInterSource — the rank-0-hosted queues. Each acquisition
 ///    is two RMA-priced atomic ops serialized at one FCFS server (probe =
-///    step fetch-and-op / feedback read + size hint; commit = scheduled
-///    fetch-and-op / remaining CAS), exactly the pricing the engines used
-///    before the backends were pluggable. Wraps InterChunkSource for the
-///    chunk math.
+///    step fetch-and-op / feedback read + size hint; commit = step-table
+///    lookup / remaining CAS), the pricing the engines used before the
+///    backends were pluggable — the real step-indexed queue now needs only
+///    the first op, so this overprices its successful acquisitions. Wraps
+///    InterChunkSource for the chunk math.
 ///
 ///  * ShardedInterSource — the per-node shard windows (ShardedInterQueue).
 ///    While a node's shard lasts, an acquisition is two atomics on the
@@ -70,7 +71,11 @@ public:
           remaining_form_(dls::supports_remaining_based(technique)),
           feedback_(static_cast<std::size_t>(nodes)),
           weights_(dls::normalize_static_weights(wf_weights, nodes)),
-          caches_(static_cast<std::size_t>(nodes)) {}
+          caches_(static_cast<std::size_t>(nodes)) {
+        if (!remaining_form_) {
+            table_.emplace(technique, params);
+        }
+    }
 
     /// First RMA op of an acquisition by `node`: the size hint. A value
     /// <= 0 means the technique ran dry (permanently).
@@ -82,10 +87,13 @@ public:
             return dls::remaining_based_chunk(tech_, params_, remaining_, weight_of(node));
         }
         probe_step_ = step_++;
-        return dls::chunk_size_for_step(tech_, params_, probe_step_);
+        return probe_step_ < table_->steps() ? table_->at(probe_step_).size : 0;
     }
 
-    /// Second RMA op: allocates `hint` iterations (clamped). std::nullopt
+    /// Second RMA op: allocates `hint` iterations (clamped) from the
+    /// remaining cell, or — for the step-indexed forms, whose probe already
+    /// returned the step's clamped size — reads the step's start from the
+    /// same dls::StepTable the real GlobalWorkQueue uses. std::nullopt
     /// when the loop is exhausted despite a positive hint.
     [[nodiscard]] std::optional<Take> commit(std::int64_t hint) {
         if (remaining_form_) {
@@ -97,12 +105,8 @@ public:
             remaining_ -= size;
             return Take{start, size, step_++};
         }
-        const std::int64_t start = scheduled_;
-        scheduled_ += hint;
-        if (start >= total_) {
-            return std::nullopt;
-        }
-        return Take{start, std::min(hint, total_ - start), probe_step_};
+        const dls::StepRange range = table_->at(probe_step_);
+        return Take{range.start, range.size, probe_step_};
     }
 
     /// Accumulates execution feedback for `node` (the three fetch-and-op
@@ -134,8 +138,8 @@ private:
     std::int64_t total_ = 0;
     std::int64_t remaining_ = 0;   // remaining-based forms
     std::int64_t step_ = 0;        // shared step counter
-    std::int64_t scheduled_ = 0;   // step-indexed forms
     std::int64_t probe_step_ = 0;  // step consumed by the last probe
+    std::optional<dls::StepTable> table_;  // step-indexed forms
     bool remaining_form_ = false;
     std::vector<dls::NodeFeedback> feedback_;
     std::vector<double> weights_;
@@ -434,9 +438,9 @@ struct SimPlan {
 /// One acquire() emulates the real ComposedWorkSource chain above the
 /// leaf: pop the level-(L-2) relay of the caller's group; on empty, refill
 /// it from the level above, recursively up to the root backend. Relay
-/// accesses are priced as one serialized op per lock epoch on the relay's
-/// group window (pop = one epoch, push+pop = one epoch — exactly the real
-/// queue's epoch structure) at that level's RMA latency
+/// accesses are priced as one serialized op on the relay's group window
+/// (pop = one step-claim CAS or lock epoch, push+pop = one epoch) at that
+/// level's RMA latency
 /// (CostModel::level_rma_s). The classic depth-2 tree has no relays, so
 /// acquire() degenerates to the root InterSource with byte-identical
 /// pricing to the pre-hierarchy engines. Relay chunk math reuses the same
@@ -566,6 +570,9 @@ private:
         std::int64_t taken = 0;
         std::int64_t step = 0;
         double visible_at = 0.0;
+        /// The shared FIFO's slicing: the step table the real
+        /// NodeWorkQueue claims this segment's steps from.
+        std::optional<dls::StepTable> slices{};
     };
 
     struct Relay {
@@ -578,8 +585,9 @@ private:
         std::vector<RelaySeg> segs;
         std::size_t head = 0;
 
-        /// One lock epoch on the relay window: half the latency out,
-        /// serialized service at the group host, half back.
+        /// One access to the relay window (a step claim or a lock epoch):
+        /// half the latency out, serialized service at the group host, half
+        /// back.
         [[nodiscard]] double op(double t) { return server.acquire(t + lat / 2.0) + lat / 2.0; }
 
         [[nodiscard]] bool unfinished() const {
@@ -603,7 +611,11 @@ private:
 
         void push(std::int64_t start, std::int64_t size, double at) {
             if (!sharded) {
-                segs.push_back({-1, start, size, 0, 0, at});
+                dls::LoopParams p;
+                p.total_iterations = size;
+                p.workers = fan_out;
+                p.min_chunk = min_chunk;
+                segs.push_back({-1, start, size, 0, 0, at, dls::StepTable(slicer, p)});
                 return;
             }
             const std::vector<std::int64_t> parts = dls::shard_partition(size, {}, fan_out);
@@ -619,7 +631,7 @@ private:
 
         /// Allocates the next sub-chunk visible at `at` for `child`
         /// (ignored by the shared FIFO); sets *stolen when it carved a
-        /// sibling's shard. Mirrors NodeWorkQueue::pop_locked /
+        /// sibling's shard. Mirrors NodeWorkQueue's step claim /
         /// ShardedRelayQueue::pop_locked exactly.
         [[nodiscard]] std::optional<std::pair<std::int64_t, std::int64_t>> pop(int child,
                                                                               double at,
@@ -634,18 +646,10 @@ private:
                     if (s.taken >= s.size || s.visible_at > at) {
                         continue;
                     }
-                    dls::LoopParams p;
-                    p.total_iterations = s.size;
-                    p.workers = fan_out;
-                    p.min_chunk = min_chunk;
-                    const std::int64_t hint =
-                        dls::chunk_size_for_step(slicer, p, s.step);
-                    const std::int64_t take =
-                        hint > 0 ? std::min(hint, s.size - s.taken) : s.size - s.taken;
-                    const std::int64_t begin = s.start + s.taken;
-                    s.taken += take;
-                    ++s.step;
-                    return std::pair{begin, begin + take};
+                    const dls::StepRange range = s.slices->at(s.step++);
+                    s.taken += range.size;
+                    const std::int64_t begin = s.start + range.start;
+                    return std::pair{begin, begin + range.size};
                 }
                 return std::nullopt;
             }
@@ -754,7 +758,7 @@ private:
             *done = updone;
             return std::nullopt;
         }
-        // Push + pop own first sub-chunk in one lock epoch.
+        // Push + pop own first sub-chunk, priced as one access.
         const double t2 = r.op(updone);
         r.push(up->start, up->size, t2);
         *done = t2;

@@ -126,7 +126,9 @@ bool ArgParser::parse(const std::vector<std::string>& args) {
             if (has_value) {
                 throw std::invalid_argument("ArgParser: flag --" + name + " takes no value");
             }
-            it->second.value = "1";
+            // Not `= "1"`: GCC 12 at -O3 flags that assignment with a false
+            // -Wrestrict positive, fatal under -Werror.
+            it->second.value.assign(1, '1');
             it->second.provided = true;
             continue;
         }

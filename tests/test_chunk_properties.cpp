@@ -9,12 +9,15 @@
 ///    the techniques whose two forms are exact (STATIC, SS, FSC, TSS,
 ///    RND); GSS/FAC2/TFSS use documented closed-form approximations whose
 ///    divergence is bounded here;
+///  * dls::StepTable, which the queues read after one atomic step claim,
+///    is exactly that clamped sequence, in step order;
 ///  * the remaining-count-based replay (the adaptive queue's CAS
 ///    protocol) tiles [0, N) exactly for FAC, WF and AWF-B/C/D/E across a
 ///    grid of weights.
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "dls/adaptive.hpp"
@@ -170,6 +173,58 @@ std::vector<GridCase> step_indexed_grid() {
 
 INSTANTIATE_TEST_SUITE_P(StepIndexed, StepIndexedReplay,
                          ::testing::ValuesIn(step_indexed_grid()), grid_name);
+
+// ------------------------------------------------------- step table
+
+/// The queues hand out StepTable ranges after one atomic step claim, so
+/// the table must be exactly the clamped hint sequence: step s starts
+/// where step s-1 ended and gets min(hint_s, N - start_s) iterations.
+class StepTableTiling : public ::testing::TestWithParam<GridCase> {};
+
+TEST_P(StepTableTiling, RangesTileInStepOrderWithClampedHintSizes) {
+    const auto& [tech, n, p, min_chunk] = GetParam();
+    const LoopParams lp = make_params(n, p, min_chunk);
+    const StepTable table(tech, lp);
+    std::int64_t start = 0;
+    for (std::int64_t step = 0; step < table.steps(); ++step) {
+        const StepRange range = table.at(step);
+        ASSERT_EQ(range.start, start) << "gap or overlap at step " << step;
+        ASSERT_EQ(range.size, std::min(chunk_size_for_step(tech, lp, step), n - start))
+            << "step " << step;
+        ASSERT_GE(range.size, 1) << "step " << step;
+        start += range.size;
+    }
+    EXPECT_EQ(start, n) << "iteration space not fully covered";
+}
+
+std::vector<GridCase> step_table_grid() {
+    std::vector<GridCase> cases;
+    for (const Technique t : all_techniques()) {
+        if (!supports_step_indexed(t)) {
+            continue;
+        }
+        for (const std::int64_t n : {0, 1, 7, 1000, 400000}) {
+            for (const int p : {1, 2, 3, 4, 16}) {
+                for (const std::int64_t m : {1, 8}) {
+                    cases.push_back({t, n, p, m});
+                }
+            }
+        }
+    }
+    return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(StepIndexed, StepTableTiling, ::testing::ValuesIn(step_table_grid()),
+                         grid_name);
+
+TEST(StepTableTest, RemainingBasedTechniquesAreRejected) {
+    for (const Technique t : all_techniques()) {
+        if (!supports_step_indexed(t)) {
+            EXPECT_THROW(StepTable(t, make_params(100, 4, 1)), std::invalid_argument)
+                << technique_name(t);
+        }
+    }
+}
 
 // -------------------------------------------- remaining-based replay
 

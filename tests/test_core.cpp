@@ -6,9 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <mutex>
+#include <set>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "apps/mandelbrot.hpp"
 #include "core/hdls.hpp"
@@ -70,6 +75,30 @@ TEST(GlobalQueueTest, AdaptiveTechniqueRejected) {
     minimpi::Runtime::run(1, [](minimpi::Context& ctx) {
         EXPECT_THROW(GlobalWorkQueue(ctx.world(), 10, Technique::AWFB, 1, 1), minimpi::Error);
     });
+}
+
+TEST(GlobalQueueTest, SoloRunsYieldOneChunkMultiset) {
+    // A step maps to the same chunk on every run (one fetch-and-op on the
+    // step counter, then a step-table lookup), so repeated runs of one
+    // configuration must execute one and the same chunk multiset.
+    HierConfig cfg;
+    cfg.inter = Technique::GSS;
+    cfg.intra = Technique::Static;
+    cfg.min_chunk = 8;
+    std::set<std::vector<std::pair<std::int64_t, std::int64_t>>> multisets;
+    for (int run = 0; run < 30; ++run) {
+        std::mutex mu;
+        std::vector<std::pair<std::int64_t, std::int64_t>> chunks;
+        const auto report = run_hierarchical(ClusterShape{2, 2}, Approach::MpiMpi, cfg, 512,
+                                             [&](std::int64_t b, std::int64_t e) {
+                                                 const std::lock_guard<std::mutex> lock(mu);
+                                                 chunks.emplace_back(b, e);
+                                             });
+        ASSERT_EQ(report.executed_iterations(), 512);
+        std::sort(chunks.begin(), chunks.end());
+        multisets.insert(std::move(chunks));
+    }
+    EXPECT_EQ(multisets.size(), 1u);
 }
 
 // ------------------------------------------------------------- local queue
@@ -212,6 +241,83 @@ TEST(LocalQueueTest, CapacityThrowReleasesRefillAnnouncement) {
         EXPECT_EQ(drained, 5 * 100 - 5);  // 5 chunks of 100, 1 popped each
         q.free();
     });
+}
+
+TEST(LocalQueueTest, LockFreePopTilesExactlyWhileRingSlotsAreReused) {
+    // Four ranks share one queue (capacity 4 + 4 = 8 slots) and refill it
+    // from ~130 small parent chunks per round, so every ring slot is reused
+    // many times while peers claim steps from it. Every iteration must be
+    // popped exactly once, and the sub-chunks must be exactly the step
+    // tables' ranges (a stale claim would skip a step or repeat bounds).
+    constexpr std::int64_t kN = 600;
+    constexpr int kRounds = 200;
+    std::vector<std::pair<std::int64_t, std::int64_t>> parents;
+    for (std::int64_t start = 0, i = 0; start < kN; ++i) {
+        const std::int64_t size = std::min<std::int64_t>(1 + (i * 7) % 9, kN - start);
+        parents.emplace_back(start, size);
+        start += size;
+    }
+    for (const Technique intra : {Technique::SS, Technique::GSS}) {
+        std::vector<std::pair<std::int64_t, std::int64_t>> expected;
+        for (const auto& [start, size] : parents) {
+            hdls::dls::LoopParams p;
+            p.total_iterations = size;
+            p.workers = 4;
+            const hdls::dls::StepTable table(intra, p);
+            for (std::int64_t step = 0; step < table.steps(); ++step) {
+                const auto r = table.at(step);
+                expected.emplace_back(start + r.start, start + r.start + r.size);
+            }
+        }
+        std::sort(expected.begin(), expected.end());
+
+        std::atomic<std::size_t> next_parent{0};
+        std::mutex mu;
+        std::vector<std::pair<std::int64_t, std::int64_t>> popped;
+        int bad_rounds = 0;
+        minimpi::Runtime::run(4, [&](minimpi::Context& ctx) {
+            const auto node = ctx.world().split_type(minimpi::SplitType::Shared, ctx.rank());
+            for (int round = 0; round < kRounds; ++round) {
+                if (ctx.rank() == 0) {
+                    next_parent = 0;
+                    popped.clear();
+                }
+                NodeWorkQueue q(node, intra, 1);  // collective: orders the reset above
+                std::vector<std::pair<std::int64_t, std::int64_t>> mine;
+                for (;;) {
+                    if (const auto sub = q.try_pop()) {
+                        mine.emplace_back(sub->begin, sub->end);
+                        continue;
+                    }
+                    q.begin_refill();
+                    const std::size_t k = next_parent.fetch_add(1);
+                    if (k < parents.size()) {
+                        if (const auto sub = q.push_and_pop(parents[k].first, parents[k].second)) {
+                            mine.emplace_back(sub->begin, sub->end);
+                        }
+                        continue;
+                    }
+                    q.end_refill();
+                    if (!q.refills_in_flight() && !q.has_pending()) {
+                        break;
+                    }
+                    std::this_thread::yield();
+                }
+                {
+                    const std::lock_guard<std::mutex> lock(mu);
+                    popped.insert(popped.end(), mine.begin(), mine.end());
+                }
+                q.free();  // collective: every rank's pops are recorded
+                if (ctx.rank() == 0) {
+                    std::sort(popped.begin(), popped.end());
+                    bad_rounds += popped != expected ? 1 : 0;
+                }
+                ctx.world().barrier();
+            }
+        });
+        EXPECT_EQ(bad_rounds, 0) << "of " << kRounds << " rounds under intra "
+                                 << hdls::dls::technique_name(intra);
+    }
 }
 
 // ------------------------------------------------- coverage across combos

@@ -298,6 +298,49 @@ TEST(HierarchySimTest, DeepTreesTileDeterministicallyInBothEngines) {
     }
 }
 
+TEST(HierarchySimTest, SimulatorHandsOutTheExecutorsChunks) {
+    // One chunk calculation per technique: the simulator slices both
+    // levels with the same dls::StepTable the real queues claim steps
+    // from, so for step-indexed configurations its leaf sub-chunks are
+    // exactly the executor's.
+    using namespace hdls::sim;
+    constexpr std::int64_t kN = 512;
+    const WorkloadTrace load(std::vector<double>(kN, 1e-6));
+    ClusterSpec cluster;
+    cluster.nodes = 2;
+    cluster.workers_per_node = 2;
+    const std::vector<std::pair<Technique, Technique>> combos = {
+        {Technique::GSS, Technique::Static},
+        {Technique::GSS, Technique::SS},
+        {Technique::TSS, Technique::FAC2},
+        {Technique::FAC2, Technique::GSS},
+    };
+    for (const auto& [inter, intra] : combos) {
+        HierConfig cfg;
+        cfg.inter = inter;
+        cfg.intra = intra;
+        cfg.min_chunk = 8;
+        const auto executed = executed_chunks(ClusterShape{2, 2}, cfg, kN);
+
+        SimConfig config;
+        config.inter = inter;
+        config.intra = intra;
+        config.min_chunk = 8;
+        config.trace = true;
+        const SimReport sim = simulate(ExecModel::MpiMpi, cluster, config, load);
+        ASSERT_NE(sim.trace, nullptr);
+        std::vector<std::pair<std::int64_t, std::int64_t>> simulated;
+        for (const auto& e : sim.trace->events) {
+            if (e.kind == hdls::trace::EventKind::ChunkExecBegin) {
+                simulated.emplace_back(e.a, e.b);
+            }
+        }
+        std::sort(simulated.begin(), simulated.end());
+        EXPECT_EQ(simulated, executed)
+            << hdls::dls::technique_name(inter) << "+" << hdls::dls::technique_name(intra);
+    }
+}
+
 TEST(HierarchySimTest, ExplicitDepthTwoMatchesTheClassicSimExactly) {
     using namespace hdls::sim;
     const WorkloadTrace load(std::vector<double>(3000, 2e-6));

@@ -143,9 +143,11 @@ void expect_exact_tiling(const ClusterShape& shape, Approach approach, const Hie
 }
 
 TEST(PrefetchParityTest, PrefetchedRunsYieldTheSynchronousChunkMultiset) {
-    // Centralized backends produce run-invariant chunk multisets (the step
-    // counter serializes size decisions), so prefetch on vs off must match
-    // exactly — the double buffer only reorders *who* pops, never *what*.
+    // Centralized backends produce run-invariant chunk multisets (a step
+    // index maps to one fixed chunk through the step table; the WF root's
+    // sizes depend only on the remaining count), so prefetch on vs off
+    // must match exactly — the double buffer only reorders *who* pops,
+    // never *what*.
     struct Case {
         ClusterShape shape;
         std::vector<TopologyLevel> tree;
