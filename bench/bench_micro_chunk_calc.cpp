@@ -1,8 +1,8 @@
 /// \file bench_micro_chunk_calc.cpp
 /// google-benchmark micro-measurements of the chunk calculators: the
-/// step-indexed closed forms (the per-scheduling-step cost every worker
-/// pays under the distributed protocol) and the stateful master-side
-/// generators — plus the chunk *bodies* themselves (section=
+/// step-indexed closed forms and the build-and-drain of a dls::StepTable
+/// (the per-loop cost every rank pays before its first step claim) —
+/// plus the chunk *bodies* themselves (section=
 /// kernel_throughput): the mandelbrot escape loop per SIMD backend, so the
 /// scalar-vs-vector pixel rate is tracked by the same harness that tracks
 /// the scheduling overhead it must amortize.
@@ -13,7 +13,6 @@
 
 #include "apps/mandelbrot.hpp"
 #include "dls/chunk_formulas.hpp"
-#include "dls/scheduler.hpp"
 #include "simd/dispatch.hpp"
 
 namespace {
@@ -51,32 +50,30 @@ BENCHMARK(BM_StepIndexedChunk)
     ->Arg(static_cast<int>(Technique::TFSS))
     ->Arg(static_cast<int>(Technique::RND));
 
-void BM_StatefulSchedulerDrain(benchmark::State& state) {
+/// Builds a loop's StepTable and reads every step's range: what a rank
+/// pays once per loop, plus one lookup per chunk it could claim.
+void BM_StepTableBuildAndDrain(benchmark::State& state) {
     const auto technique = static_cast<Technique>(state.range(0));
     const auto p = bench_params();
     for (auto _ : state) {
-        auto sched = hdls::dls::make_scheduler(technique, p);
-        std::int64_t chunks = 0;
-        int worker = 0;
-        while (auto a = sched->next(worker)) {
-            benchmark::DoNotOptimize(a->size);
-            ++chunks;
-            worker = (worker + 1) % p.workers;
+        const hdls::dls::StepTable table(technique, p);
+        for (std::int64_t step = 0; step < table.steps(); ++step) {
+            benchmark::DoNotOptimize(table.at(step).size);
         }
-        state.counters["chunks"] =
-            benchmark::Counter(static_cast<double>(chunks), benchmark::Counter::kDefaults);
+        state.counters["chunks"] = benchmark::Counter(static_cast<double>(table.steps()),
+                                                      benchmark::Counter::kDefaults);
     }
     state.SetLabel(std::string(hdls::dls::technique_name(technique)));
 }
-BENCHMARK(BM_StatefulSchedulerDrain)
+BENCHMARK(BM_StepTableBuildAndDrain)
     ->Arg(static_cast<int>(Technique::Static))
+    ->Arg(static_cast<int>(Technique::SS))
+    ->Arg(static_cast<int>(Technique::FSC))
     ->Arg(static_cast<int>(Technique::GSS))
     ->Arg(static_cast<int>(Technique::TSS))
-    ->Arg(static_cast<int>(Technique::FAC))
     ->Arg(static_cast<int>(Technique::FAC2))
-    ->Arg(static_cast<int>(Technique::WF))
     ->Arg(static_cast<int>(Technique::TFSS))
-    ->Arg(static_cast<int>(Technique::AWFC))
+    ->Arg(static_cast<int>(Technique::RND))
     ->Unit(benchmark::kMicrosecond);
 
 /// Pixels/s of the mandelbrot batch kernel per compiled-in backend. Skips

@@ -1,8 +1,10 @@
 /// \file bench_table1_schedule_mapping.cpp
 /// Regenerates Table 1: the mapping between DLS techniques and the OpenMP
-/// `schedule` clause — and *verifies* it, by comparing the chunk sequence
-/// produced by the ompsim worksharing runtime against the DLS library's
-/// master-side scheduler for each mapped technique.
+/// `schedule` clause — and *verifies* it, by checking the chunk sequence
+/// produced by the ompsim worksharing runtime for each mapped technique:
+/// STATIC and SS against the DLS library's step table, GSS against its
+/// defining rule, chunk = max(ceil(R/P), 1) for the iterations R that the
+/// sequence itself leaves after its preceding chunks.
 
 #include <algorithm>
 #include <iostream>
@@ -10,7 +12,7 @@
 #include <vector>
 
 #include "common/json_report.hpp"
-#include "dls/scheduler.hpp"
+#include "dls/chunk_formulas.hpp"
 #include "ompsim/team.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -40,15 +42,31 @@ std::vector<std::int64_t> ompsim_chunk_sizes(int threads, std::int64_t n,
     return sizes;
 }
 
-std::vector<std::int64_t> dls_chunk_sizes(Technique t, std::int64_t n, int workers) {
+/// Chunk-size sequence of a step-indexed technique, in step order.
+std::vector<std::int64_t> step_table_sizes(Technique t, std::int64_t n, int workers) {
     hdls::dls::LoopParams p;
     p.total_iterations = n;
     p.workers = workers;
+    const hdls::dls::StepTable table(t, p);
     std::vector<std::int64_t> sizes;
-    for (const auto& c : hdls::dls::enumerate_chunks(t, p)) {
-        sizes.push_back(c.size);
+    for (std::int64_t step = 0; step < table.steps(); ++step) {
+        sizes.push_back(table.at(step).size);
     }
     return sizes;
+}
+
+/// True when `sizes` tiles [0, n) and every chunk is GSS's
+/// max(ceil(R/P), 1) for the R its predecessors leave.
+bool follows_gss_rule(const std::vector<std::int64_t>& sizes, std::int64_t n, int workers) {
+    std::int64_t remaining = n;
+    for (const std::int64_t size : sizes) {
+        const std::int64_t gss = std::max<std::int64_t>((remaining + workers - 1) / workers, 1);
+        if (remaining <= 0 || size != gss) {
+            return false;
+        }
+        remaining -= size;
+    }
+    return remaining == 0;
 }
 
 }  // namespace
@@ -101,8 +119,10 @@ int main(int argc, char** argv) {
                 // The guided/dynamic cursor rules make the ordered chunk
                 // sizes deterministic regardless of thread interleaving, so
                 // exact equality is the correct check.
-                ok = ok && (ompsim_chunk_sizes(p, n, row.opts) ==
-                            dls_chunk_sizes(row.tech, n, p));
+                const auto sizes = ompsim_chunk_sizes(p, n, row.opts);
+                ok = ok && (row.tech == Technique::GSS
+                                ? follows_gss_rule(sizes, n, p)
+                                : sizes == step_table_sizes(row.tech, n, p));
             }
             all_ok = all_ok && ok;
             check = ok ? "exact match" : "MISMATCH";

@@ -21,8 +21,8 @@
 /// After executing a chunk a rank posts report(): three fetch_and_op sums
 /// into its node's feedback cells (times as integer nanoseconds). AWF-C/E
 /// re-derive weights on every acquisition; AWF-B/D only when the
-/// halving-batch index advances (dls::halving_batch_index), mirroring the
-/// centralized schedulers' batch-boundary adaptation.
+/// halving-batch index advances (dls::halving_batch_index), the
+/// remaining-count stand-in for AWF-B/D's batch-boundary adaptation.
 
 #include <cstdint>
 #include <optional>

@@ -7,6 +7,11 @@
 
 namespace hdls::dls {
 
+namespace {
+
+/// FAC's batch divisor x = 1 + b^2 + b*sqrt(b^2 + 2) with
+/// b = P * sigma / (2 * sqrt(R) * mu) (Hummel et al.), evaluated at the
+/// current remaining count. Requires R > 0 and mu > 0.
 double fac_batch_factor(const LoopParams& p, std::int64_t remaining) noexcept {
     const auto workers = static_cast<double>(p.workers);
     const double b =
@@ -14,11 +19,11 @@ double fac_batch_factor(const LoopParams& p, std::int64_t remaining) noexcept {
     return 1.0 + b * b + b * std::sqrt(b * b + 2.0);
 }
 
-// Unlike the centralized AwfScheduler::refresh_weights (which tracks
-// per-worker state and keeps its current weights — including any static
-// priors — when nothing was observed yet), this is a stateless snapshot:
-// no observations mean neutral weights. The distributed protocol has no
-// per-requester weight state to preserve, only the feedback region.
+}  // namespace
+
+// A stateless snapshot: no observations mean neutral weights. The
+// distributed protocol has no per-requester weight state to preserve,
+// only the feedback region.
 std::vector<double> awf_weights(Technique t, std::span<const NodeFeedback> feedback) {
     const bool with_overhead = rate_includes_overhead(t);
     std::vector<double> rates(feedback.size(), -1.0);

@@ -21,11 +21,14 @@
 /// executors schedule identically.
 ///
 /// Because every request recomputes its share from the *current* R, the
-/// batched factoring of the centralized schedulers becomes "continuous"
-/// factoring here: each request receives its weighted slice of half the
-/// remaining work. AWF-B/D approximate their batch-boundary adaptation
-/// cadence with halving_batch_index(N, R), which advances exactly when a
-/// centralized FAC2 batch would retire.
+/// batched factoring of the literature becomes "continuous" factoring
+/// here: each request receives its weighted slice of half the remaining
+/// work. AWF-B/D approximate their batch-boundary adaptation cadence with
+/// halving_batch_index(N, R), which advances each time R halves, as a
+/// FAC2 batch (half the remaining work) would retire.
+///
+/// This is the only implementation of FAC, WF and AWF-B/C/D/E; the
+/// step-indexed techniques have theirs in chunk_formulas.hpp.
 
 #include <cstdint>
 #include <span>
@@ -51,12 +54,6 @@ struct NodeFeedback {
 /// observations at all, every node gets 1 (the WF/FAC2 bootstrap batch).
 [[nodiscard]] std::vector<double> awf_weights(Technique t,
                                               std::span<const NodeFeedback> feedback);
-
-/// FAC's batch divisor x_j = 1 + b^2 + b*sqrt(b^2 + 2) with
-/// b = P * sigma / (2 * sqrt(R) * mu) (Hummel et al.). Shared by the
-/// centralized FacScheduler and the remaining-based distributed form so
-/// the two cannot drift. Requires R > 0 and mu > 0.
-[[nodiscard]] double fac_batch_factor(const LoopParams& p, std::int64_t remaining) noexcept;
 
 /// Chunk-size hint from the exact remaining count `remaining` and the
 /// requester's weight (ignored by FAC):

@@ -1,7 +1,6 @@
 #include "dls/params.hpp"
 
 #include <stdexcept>
-#include <string>
 
 namespace hdls::dls {
 
@@ -11,16 +10,6 @@ void LoopParams::validate() const {
     }
     if (workers < 1) {
         throw std::invalid_argument("LoopParams: workers must be >= 1");
-    }
-    if (!weights.empty() && weights.size() != static_cast<std::size_t>(workers)) {
-        throw std::invalid_argument("LoopParams: weights size (" +
-                                    std::to_string(weights.size()) +
-                                    ") must equal workers (" + std::to_string(workers) + ")");
-    }
-    for (const double w : weights) {
-        if (!(w > 0.0)) {
-            throw std::invalid_argument("LoopParams: weights must be positive");
-        }
     }
     if (sigma < 0.0) {
         throw std::invalid_argument("LoopParams: sigma must be >= 0");

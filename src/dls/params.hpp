@@ -3,7 +3,6 @@
 /// Parameters describing one self-scheduled loop execution.
 
 #include <cstdint>
-#include <vector>
 
 namespace hdls::dls {
 
@@ -27,12 +26,6 @@ struct LoopParams {
     /// F = ceil(N / (2P)), L = 1.
     std::int64_t tss_first = 0;
     std::int64_t tss_last = 0;
-
-    // --- WF / AWF-* -------------------------------------------------------
-    /// Relative worker speeds; empty = all equal. When non-empty the size
-    /// must equal `workers`. Values are normalized internally so only ratios
-    /// matter.
-    std::vector<double> weights;
 
     // --- RND ---------------------------------------------------------------
     std::uint64_t seed = 0x5eedULL;  ///< per-loop RNG seed

@@ -41,7 +41,7 @@ enum class Technique {
 [[nodiscard]] std::optional<Technique> technique_from_string(std::string_view name) noexcept;
 
 /// True if the technique adapts its chunk sizes from runtime feedback
-/// (requires Scheduler::report() calls to be effective).
+/// (the per-node feedback region that awf_weights reads).
 [[nodiscard]] bool is_adaptive(Technique t) noexcept;
 
 /// True if chunk sizes can be computed from the scheduling-step index alone

@@ -1,48 +1,25 @@
 #pragma once
 /// \file backoff.hpp
-/// Lock-polling policy of the passive-target windows.
+/// Lock-polling discipline of the passive-target windows.
 ///
 /// MPI_Win_lock on a contended target is a polling protocol: a blocked
 /// origin re-sends lock-attempt messages until the target grants the
 /// epoch (Zhao, Balaji & Gropp, ISPDC'16 — the cost the paper's intra-node
-/// SS discussion revolves around). The thread-backed runtime mirrors that
-/// with a try_lock polling loop, whose retry cadence is selectable:
-///
-///  * Spin    — naive polling: retry immediately after a yield, the
-///              closest analogue of a fixed-period lock-attempt storm;
-///  * Backoff — exponential pause/yield/sleep ladder (the default): a few
-///              cache-polite pause spins for short holds, then scheduler
-///              yields, then exponentially growing sleeps capped in the
-///              hundreds of microseconds — contended handoffs stop
-///              hammering the lock line and the waiters' attempt traffic
-///              collapses (bench_ablation_lock_polling measures the
-///              difference);
-///  * Block   — hand the wait to the OS primitive entirely (no polling;
-///              not what an MPI RMA agent can do, kept for comparison).
-///
-/// The policy is process-global and meant to be set once at startup (or
-/// flipped between runs by benches); reads are a relaxed atomic load on
-/// the uncontended fast path.
+/// SS discussion revolves around). The runtime mirrors that with a
+/// try_lock polling loop paced by an exponential pause/yield/sleep ladder:
+/// a few cache-polite pause spins for short holds, then scheduler yields,
+/// then exponentially growing sleeps capped in the hundreds of
+/// microseconds — contended handoffs stop hammering the lock line and the
+/// waiters' attempt traffic collapses (bench_ablation_lock_polling
+/// measures it). The same ladder paces every other polled wait in the
+/// runtime (nonblocking CAS tests, shm mailbox scans).
 
-#include <atomic>
 #include <chrono>
 #include <thread>
 
 #include "metrics/metrics.hpp"
 
 namespace minimpi {
-
-enum class LockPolicy {
-    Spin,     ///< yield-and-retry every iteration
-    Backoff,  ///< exponential pause/yield/sleep ladder (default)
-    Block,    ///< blocking OS lock, no polling
-};
-
-/// Current window lock-acquisition policy (default LockPolicy::Backoff).
-[[nodiscard]] LockPolicy lock_policy() noexcept;
-
-/// Replaces the policy for subsequent Window::lock calls.
-void set_lock_policy(LockPolicy policy) noexcept;
 
 /// The exponential backoff ladder: call pause() after every failed
 /// acquisition attempt. Stateful and cheap — a handful of on-core pause

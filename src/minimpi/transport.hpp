@@ -25,10 +25,8 @@
 ///    nonblocking CAS (WindowStorage and the Window built on it),
 ///  * abort propagation: every blocking primitive observes a peer failure
 ///    in bounded time and throws ErrorCode::Aborted (mailbox waits poll
-///    the runtime flag, window lock acquisition polls it between attempts,
-///    and LockPolicy::Block waits are bounded try-lock slices).
+///    the runtime flag, window lock acquisition polls it between attempts).
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -75,12 +73,6 @@ public:
 
     /// One non-blocking epoch-acquisition attempt on `rank`'s lock.
     [[nodiscard]] virtual bool try_lock(int rank, LockType type) noexcept = 0;
-
-    /// One *bounded* blocking attempt (LockPolicy::Block): may park the
-    /// caller in the OS, but must return within roughly `timeout` either
-    /// way, so the acquire loop can poll abort between slices.
-    [[nodiscard]] virtual bool try_lock_bounded(int rank, LockType type,
-                                                std::chrono::milliseconds timeout) noexcept = 0;
 
     virtual void unlock(int rank, LockType type) noexcept = 0;
 };

@@ -90,8 +90,6 @@ public:
 
     [[nodiscard]] std::byte* base() noexcept override { return data_; }
     [[nodiscard]] bool try_lock(int rank, LockType type) noexcept override;
-    [[nodiscard]] bool try_lock_bounded(int rank, LockType type,
-                                        std::chrono::milliseconds timeout) noexcept override;
     void unlock(int rank, LockType type) noexcept override;
 
 private:

@@ -221,9 +221,9 @@ public:
     /// Opens an access epoch on `target_rank` (MPI_Win_lock). Exclusive
     /// epochs are mutually exclusive per target; Shared epochs admit
     /// concurrent holders. Acquisition polls the runtime abort flag
-    /// between attempts (under every LockPolicy, including Block), so a
-    /// rank contending for an epoch a failed peer still holds unwinds
-    /// with ErrorCode::Aborted instead of hanging.
+    /// between attempts (paced by the Backoff ladder), so a rank
+    /// contending for an epoch a failed peer still holds unwinds with
+    /// ErrorCode::Aborted instead of hanging.
     void lock(LockType type, int target_rank) const;
 
     /// Closes the epoch opened by lock() (MPI_Win_unlock). Throws if no

@@ -1,16 +1,18 @@
 /// \file test_dls.cpp
-/// Unit and property tests for the DLS technique library: golden chunk
-/// sequences from the literature, partition invariants over parameter
-/// sweeps, and stateful-vs-step-indexed cross validation (the property the
-/// paper's distributed chunk-calculation model depends on).
+/// Unit tests for the DLS technique library, run against the one chunk
+/// calculation each technique has: golden sequences and shape properties
+/// of dls::StepTable (STATIC, SS, FSC, GSS, TSS, FAC2, TFSS, RND), and
+/// the remaining-count form of FAC, WF and AWF-B/C/D/E (remaining_based_chunk,
+/// awf_weights, AwfWeightCache) that the adaptive queue and the simulator
+/// share. The exact-tiling grids live in test_chunk_properties.cpp; the
+/// literature GSS trace is checked on ompsim's `guided` in test_ompsim.cpp.
 
 #include <gtest/gtest.h>
 
-#include <numeric>
-#include <set>
+#include <vector>
 
+#include "dls/adaptive.hpp"
 #include "dls/chunk_formulas.hpp"
-#include "dls/scheduler.hpp"
 #include "dls/technique.hpp"
 
 namespace {
@@ -27,11 +29,26 @@ LoopParams make_params(std::int64_t n, int p) {
     return lp;
 }
 
-std::vector<std::int64_t> sizes_of(const std::vector<Assignment>& chunks) {
+/// Chunk sizes of `t`'s StepTable, in step order.
+std::vector<std::int64_t> table_sizes(Technique t, const LoopParams& p) {
+    const StepTable table(t, p);
     std::vector<std::int64_t> out;
-    out.reserve(chunks.size());
-    for (const auto& c : chunks) {
-        out.push_back(c.size);
+    out.reserve(static_cast<std::size_t>(table.steps()));
+    for (std::int64_t step = 0; step < table.steps(); ++step) {
+        out.push_back(table.at(step).size);
+    }
+    return out;
+}
+
+/// Chunk sizes of a remaining-count technique drained by one requester of
+/// fixed `weight`: each take recomputes its share from the current count.
+std::vector<std::int64_t> remaining_sizes(Technique t, const LoopParams& p,
+                                          double weight = 1.0) {
+    std::vector<std::int64_t> out;
+    for (std::int64_t r = p.total_iterations; r > 0;) {
+        const std::int64_t size = remaining_based_chunk(t, p, r, weight);
+        out.push_back(size);
+        r -= size;
     }
     return out;
 }
@@ -87,48 +104,42 @@ TEST(TechniqueRegistryTest, AdaptiveFlags) {
 // ------------------------------------------------------------ golden values
 
 TEST(GoldenSequenceTest, StaticSplitsEvenly) {
-    const auto chunks = enumerate_chunks(Technique::Static, make_params(10, 4));
-    EXPECT_EQ(sizes_of(chunks), (std::vector<std::int64_t>{3, 3, 2, 2}));
+    EXPECT_EQ(table_sizes(Technique::Static, make_params(10, 4)),
+              (std::vector<std::int64_t>{3, 3, 2, 2}));
 }
 
 TEST(GoldenSequenceTest, StaticExactDivision) {
-    const auto chunks = enumerate_chunks(Technique::Static, make_params(100, 4));
-    EXPECT_EQ(sizes_of(chunks), (std::vector<std::int64_t>{25, 25, 25, 25}));
+    EXPECT_EQ(table_sizes(Technique::Static, make_params(100, 4)),
+              (std::vector<std::int64_t>{25, 25, 25, 25}));
 }
 
 TEST(GoldenSequenceTest, SsIsAllOnes) {
-    const auto chunks = enumerate_chunks(Technique::SS, make_params(17, 4));
-    EXPECT_EQ(chunks.size(), 17u);
-    for (const auto& c : chunks) {
-        EXPECT_EQ(c.size, 1);
-    }
+    EXPECT_EQ(table_sizes(Technique::SS, make_params(17, 4)), std::vector<std::int64_t>(17, 1));
 }
 
-TEST(GoldenSequenceTest, GssClassicExample) {
-    // N=100, P=4: ceil(remaining/4) each step — the canonical GSS trace.
-    const auto chunks = enumerate_chunks(Technique::GSS, make_params(100, 4));
-    EXPECT_EQ(sizes_of(chunks),
-              (std::vector<std::int64_t>{25, 19, 14, 11, 8, 6, 5, 3, 3, 2, 1, 1, 1, 1}));
+TEST(GoldenSequenceTest, GssClosedFormExample) {
+    // N=100, P=4: ceil(25 * 0.75^s), clamped to what is left at the tail.
+    // The exact-remaining trace 25,19,14,11,... is ompsim's `guided`
+    // (test_ompsim.cpp); the step-indexed form front-loads slightly more.
+    EXPECT_EQ(table_sizes(Technique::GSS, make_params(100, 4)),
+              (std::vector<std::int64_t>{25, 19, 15, 11, 8, 6, 5, 4, 3, 2, 2}));
 }
 
 TEST(GoldenSequenceTest, Fac2HalvesEveryBatch) {
-    // N=100, P=4: batches of 4 chunks sized ceil(R/2P): 13,6,3,2,1.
-    const auto chunks = enumerate_chunks(Technique::FAC2, make_params(100, 4));
-    EXPECT_EQ(sizes_of(chunks),
-              (std::vector<std::int64_t>{13, 13, 13, 13, 6, 6, 6, 6, 3, 3, 3, 3, 2, 2, 2, 2, 1, 1,
-                                         1, 1}));
+    // N=100, P=4: batch b holds P chunks of ceil(N / (2^(b+1) P)):
+    // 13, 7, 4, then 2s until the loop is covered.
+    EXPECT_EQ(table_sizes(Technique::FAC2, make_params(100, 4)),
+              (std::vector<std::int64_t>{13, 13, 13, 13, 7, 7, 7, 7, 4, 4, 4, 4, 2, 2}));
 }
 
 TEST(GoldenSequenceTest, Fac2FirstChunkIsHalfOfGss) {
     const LoopParams p = make_params(1 << 20, 16);
-    const auto gss = enumerate_chunks(Technique::GSS, p);
-    const auto fac2 = enumerate_chunks(Technique::FAC2, p);
-    EXPECT_EQ(fac2.front().size * 2, gss.front().size);
+    EXPECT_EQ(StepTable(Technique::FAC2, p).at(0).size * 2,
+              StepTable(Technique::GSS, p).at(0).size);
 }
 
 TEST(GoldenSequenceTest, TssStartsAtHalfStaticAndDecreasesLinearly) {
-    const auto chunks = enumerate_chunks(Technique::TSS, make_params(1000, 4));
-    const auto sizes = sizes_of(chunks);
+    const auto sizes = table_sizes(Technique::TSS, make_params(1000, 4));
     ASSERT_GE(sizes.size(), 3u);
     EXPECT_EQ(sizes[0], 125);  // F = ceil(N/2P)
     EXPECT_EQ(sizes[1], 117);  // F - delta, delta = (125-1)/15
@@ -139,21 +150,22 @@ TEST(GoldenSequenceTest, TssStartsAtHalfStaticAndDecreasesLinearly) {
     }
 }
 
-TEST(GoldenSequenceTest, FacWithZeroSigmaDegeneratesToStaticBatch) {
+TEST(GoldenSequenceTest, FacWithZeroSigmaHoldsNothingBack) {
+    // sigma = 0 gives b = 0 and x = 1: every take is ceil(R/P), the exact
+    // GSS trace for N=100, P=4.
     LoopParams p = make_params(100, 4);
     p.sigma = 0.0;
-    const auto chunks = enumerate_chunks(Technique::FAC, p);
-    EXPECT_EQ(sizes_of(chunks), (std::vector<std::int64_t>{25, 25, 25, 25}));
+    EXPECT_EQ(remaining_sizes(Technique::FAC, p),
+              (std::vector<std::int64_t>{25, 19, 14, 11, 8, 6, 5, 3, 3, 2, 1, 1, 1, 1}));
 }
 
-TEST(GoldenSequenceTest, FacBatchesShrinkWithVariance) {
+TEST(GoldenSequenceTest, FacChunksShrinkWithVariance) {
     LoopParams p = make_params(10000, 8);
     p.sigma = 0.5;
     p.mu = 1.0;
-    const auto chunks = enumerate_chunks(Technique::FAC, p);
-    const auto sizes = sizes_of(chunks);
-    // First batch must hold back work (smaller than N/P) and sizes must be
-    // non-increasing across batches.
+    const auto sizes = remaining_sizes(Technique::FAC, p);
+    // The first take must hold back work (smaller than N/P) and sizes must
+    // be non-increasing as R falls.
     EXPECT_LT(sizes.front(), 10000 / 8);
     for (std::size_t i = 0; i + 1 < sizes.size(); ++i) {
         EXPECT_GE(sizes[i], sizes[i + 1]);
@@ -166,23 +178,22 @@ TEST(GoldenSequenceTest, FscKruskalWeissFormula) {
     p.overhead_h = 0.001;
     // (sqrt(2)*N*h / (sigma*P*sqrt(ln P)))^(2/3) = 3.04... -> ceil = 4
     EXPECT_EQ(fsc_chunk(p), 4);
-    const auto chunks = enumerate_chunks(Technique::FSC, p);
-    for (std::size_t i = 0; i + 1 < chunks.size(); ++i) {
-        EXPECT_EQ(chunks[i].size, 4);
+    const auto sizes = table_sizes(Technique::FSC, p);
+    for (std::size_t i = 0; i + 1 < sizes.size(); ++i) {
+        EXPECT_EQ(sizes[i], 4);
     }
 }
 
 TEST(GoldenSequenceTest, FscExplicitChunkWins) {
     LoopParams p = make_params(100, 4);
     p.fsc_chunk = 7;
-    const auto chunks = enumerate_chunks(Technique::FSC, p);
-    EXPECT_EQ(chunks.front().size, 7);
-    EXPECT_EQ(chunks.back().size, 100 % 7);  // tail clamp
+    const auto sizes = table_sizes(Technique::FSC, p);
+    EXPECT_EQ(sizes.front(), 7);
+    EXPECT_EQ(sizes.back(), 100 % 7);  // tail clamp
 }
 
 TEST(GoldenSequenceTest, TfssBatchesDecreaseLinearly) {
-    const auto chunks = enumerate_chunks(Technique::TFSS, make_params(4000, 4));
-    const auto sizes = sizes_of(chunks);
+    const auto sizes = table_sizes(Technique::TFSS, make_params(4000, 4));
     ASSERT_GE(sizes.size(), 8u);
     // Within a batch sizes are equal; across batches they decrease.
     EXPECT_EQ(sizes[0], sizes[1]);
@@ -195,96 +206,114 @@ TEST(GoldenSequenceTest, TfssBatchesDecreaseLinearly) {
 // -------------------------------------------------------------- WF and AWF
 
 TEST(WeightedTest, WfRespectsWeightRatios) {
-    LoopParams p = make_params(120, 3);
-    p.weights = {2.0, 1.0, 1.0};
-    auto sched = make_scheduler(Technique::WF, p);
-    const auto a0 = sched->next(0);
-    const auto a1 = sched->next(1);
-    const auto a2 = sched->next(2);
-    ASSERT_TRUE(a0 && a1 && a2);
-    // Batch total = 60; normalized weights {1.5, .75, .75} -> 30, 15, 15.
-    EXPECT_EQ(a0->size, 30);
-    EXPECT_EQ(a1->size, 15);
-    EXPECT_EQ(a2->size, 15);
+    const LoopParams p = make_params(120, 3);
+    const auto w = normalize_static_weights({2.0, 1.0, 1.0}, 3);
+    // Half of R=120 is 60; normalized weights {1.5, .75, .75} -> 30, 15, 15.
+    EXPECT_EQ(remaining_based_chunk(Technique::WF, p, 120, w[0]), 30);
+    EXPECT_EQ(remaining_based_chunk(Technique::WF, p, 120, w[1]), 15);
+    EXPECT_EQ(remaining_based_chunk(Technique::WF, p, 120, w[2]), 15);
 }
 
 TEST(WeightedTest, WfDefaultsToEqualWeights) {
-    LoopParams p = make_params(80, 4);
-    auto sched = make_scheduler(Technique::WF, p);
-    for (int w = 0; w < 4; ++w) {
-        const auto a = sched->next(w);
-        ASSERT_TRUE(a);
-        EXPECT_EQ(a->size, 10);  // batch 40, equal shares
+    const LoopParams p = make_params(80, 4);
+    for (const double w : normalize_static_weights({}, 4)) {
+        EXPECT_EQ(w, 1.0);
+        EXPECT_EQ(remaining_based_chunk(Technique::WF, p, 80, w), 10);  // half of 80, equal shares
     }
 }
 
 TEST(WeightedTest, AwfStartsNeutralThenAdapts) {
-    LoopParams p = make_params(1 << 16, 2);
-    auto sched = make_scheduler(Technique::AWFB, p);
-    const auto a0 = sched->next(0);
-    const auto a1 = sched->next(1);
-    ASSERT_TRUE(a0 && a1);
-    EXPECT_EQ(a0->size, a1->size);  // no feedback yet -> equal
-    // Worker 0 is reported 4x faster; from the next batch on it gets more.
-    sched->report(0, a0->size, 1.0, 0.0);
-    sched->report(1, a1->size, 4.0, 0.0);
-    const auto b0 = sched->next(0);
-    const auto b1 = sched->next(1);
-    ASSERT_TRUE(b0 && b1);
-    EXPECT_GT(b0->size, b1->size);
-    // Rates 4:1 -> normalized weights 1.6 : 0.4 -> sizes ~4x apart.
-    EXPECT_NEAR(static_cast<double>(b0->size) / static_cast<double>(b1->size), 4.0, 0.25);
+    const LoopParams p = make_params(1 << 16, 2);
+    std::vector<NodeFeedback> feedback(2);
+    const auto bootstrap = awf_weights(Technique::AWFB, feedback);
+    EXPECT_EQ(bootstrap, (std::vector<double>{1.0, 1.0}));  // no feedback yet -> equal
+    const std::int64_t first = remaining_based_chunk(Technique::AWFB, p, p.total_iterations, 1.0);
+    // Node 0 is reported 4x faster: rates 4:1 -> normalized weights 1.6 : 0.4.
+    feedback[0] = {first, 1.0, 0.0};
+    feedback[1] = {first, 4.0, 0.0};
+    const auto w = awf_weights(Technique::AWFB, feedback);
+    EXPECT_NEAR(w[0], 1.6, 1e-12);
+    EXPECT_NEAR(w[1], 0.4, 1e-12);
+    const std::int64_t r = p.total_iterations - 2 * first;
+    const auto b0 = remaining_based_chunk(Technique::AWFB, p, r, w[0]);
+    const auto b1 = remaining_based_chunk(Technique::AWFB, p, r, w[1]);
+    EXPECT_NEAR(static_cast<double>(b0) / static_cast<double>(b1), 4.0, 0.01);
 }
 
-TEST(WeightedTest, AwfBDefersAdaptationToBatchBoundary) {
-    LoopParams p = make_params(1 << 16, 2);
-    auto sched = make_scheduler(Technique::AWFB, p);
-    const auto a0 = sched->next(0);
-    ASSERT_TRUE(a0);
-    // Report *mid-batch*: AWF-B must not react until the batch ends.
-    sched->report(0, a0->size, 1.0, 0.0);
-    sched->report(1, 100, 100.0, 0.0);  // worker 1 looks terribly slow
-    const auto a1 = sched->next(1);
-    ASSERT_TRUE(a1);
-    EXPECT_EQ(a1->size, a0->size);  // same batch -> same (neutral) weights
+/// Snapshot calls and chunks of one requester draining a loop through its
+/// AwfWeightCache, and the halving batches the drain crossed.
+struct CadenceCount {
+    std::int64_t chunks = 0;
+    std::int64_t snapshots = 0;
+    std::int64_t batches = 0;
+};
+
+CadenceCount drain_counting_snapshots(Technique t) {
+    const LoopParams p = make_params(1 << 12, 4);
+    const std::vector<NodeFeedback> feedback(4);
+    AwfWeightCache cache;
+    CadenceCount count;
+    std::int64_t last_batch = -1;
+    for (std::int64_t r = p.total_iterations; r > 0;) {
+        const double w = cache.weight(t, 0, p.total_iterations, r, [&] {
+            ++count.snapshots;
+            return feedback;
+        });
+        if (halving_batch_index(p.total_iterations, r) != last_batch) {
+            last_batch = halving_batch_index(p.total_iterations, r);
+            ++count.batches;
+        }
+        r -= remaining_based_chunk(t, p, r, w);
+        ++count.chunks;
+    }
+    return count;
 }
 
-TEST(WeightedTest, AwfCAdaptsWithinBatch) {
-    LoopParams p = make_params(1 << 16, 2);
-    auto sched = make_scheduler(Technique::AWFC, p);
-    const auto a0 = sched->next(0);
-    ASSERT_TRUE(a0);
-    sched->report(0, a0->size, 1.0, 0.0);
-    sched->report(1, 100, 100.0, 0.0);
-    const auto a1 = sched->next(1);
-    ASSERT_TRUE(a1);
-    EXPECT_LT(a1->size, a0->size);  // AWF-C reacts immediately
+TEST(WeightedTest, AwfBdRefreshOnBatchAdvanceAwfCeOnEveryChunk) {
+    for (const Technique t : {Technique::AWFB, Technique::AWFD}) {
+        const CadenceCount count = drain_counting_snapshots(t);
+        EXPECT_EQ(count.snapshots, count.batches) << technique_name(t);
+        EXPECT_LT(count.snapshots, count.chunks) << technique_name(t);
+    }
+    for (const Technique t : {Technique::AWFC, Technique::AWFE}) {
+        const CadenceCount count = drain_counting_snapshots(t);
+        EXPECT_EQ(count.snapshots, count.chunks) << technique_name(t);
+    }
 }
 
-TEST(WeightedTest, AwfDIncludesOverheadInRate) {
-    // Two workers with identical compute rates, but worker 1 suffers heavy
-    // scheduling overhead. AWF-B ignores it; AWF-D penalizes it.
-    const auto run = [](Technique t) {
-        LoopParams p = make_params(1 << 16, 2);
-        auto sched = make_scheduler(t, p);
-        const auto a0 = sched->next(0);
-        const auto a1 = sched->next(1);
-        sched->report(0, a0->size, 2.0, 0.0);
-        sched->report(1, a1->size, 2.0, 6.0);
-        const auto b0 = sched->next(0);
-        const auto b1 = sched->next(1);
-        return std::pair<std::int64_t, std::int64_t>{b0->size, b1->size};
-    };
-    const auto [b_b0, b_b1] = run(Technique::AWFB);
-    EXPECT_EQ(b_b0, b_b1);  // overhead invisible to AWF-B
-    const auto [d_b0, d_b1] = run(Technique::AWFD);
-    EXPECT_GT(d_b0, d_b1);  // AWF-D sees it
+TEST(WeightedTest, AwfBDefersMidBatchFeedbackAwfCReactsAtOnce) {
+    constexpr std::int64_t kN = 1 << 16;
+    std::vector<NodeFeedback> feedback(2);
+    const auto snapshot = [&] { return feedback; };
+    for (const Technique t : {Technique::AWFB, Technique::AWFC}) {
+        AwfWeightCache cache;
+        feedback.assign(2, NodeFeedback{});
+        EXPECT_EQ(cache.weight(t, 1, kN, kN, snapshot), 1.0);
+        // Mid-batch feedback makes node 1 look terribly slow.
+        feedback[0] = {1000, 1.0, 0.0};
+        feedback[1] = {100, 100.0, 0.0};
+        const double mid_batch = cache.weight(t, 1, kN, kN - 1000, snapshot);
+        if (t == Technique::AWFB) {
+            EXPECT_EQ(mid_batch, 1.0);  // same batch -> same (neutral) weight
+        } else {
+            EXPECT_LT(mid_batch, 1.0);
+        }
+        // The next halving batch brings AWF-B up to date.
+        EXPECT_LT(cache.weight(t, 1, kN, kN / 2, snapshot), 1.0) << technique_name(t);
+    }
 }
 
-TEST(WeightedTest, ReportValidatesWorkerId) {
-    auto sched = make_scheduler(Technique::AWFC, make_params(100, 2));
-    EXPECT_THROW(sched->report(5, 1, 1.0, 0.0), std::out_of_range);
-    EXPECT_THROW(sched->report(-1, 1, 1.0, 0.0), std::out_of_range);
+TEST(WeightedTest, AwfDeRatesIncludeOverheadAwfBcRatesDoNot) {
+    // Identical compute rates, but node 1 suffers heavy scheduling overhead.
+    const std::vector<NodeFeedback> feedback = {{1000, 2.0, 0.0}, {1000, 2.0, 6.0}};
+    for (const Technique t : {Technique::AWFB, Technique::AWFC}) {
+        const auto w = awf_weights(t, feedback);
+        EXPECT_DOUBLE_EQ(w[0], w[1]) << technique_name(t);  // overhead invisible
+    }
+    for (const Technique t : {Technique::AWFD, Technique::AWFE}) {
+        const auto w = awf_weights(t, feedback);
+        EXPECT_GT(w[0], w[1]) << technique_name(t);  // AWF-D/E see it
+    }
 }
 
 // ----------------------------------------------------------------------- RND
@@ -292,22 +321,20 @@ TEST(WeightedTest, ReportValidatesWorkerId) {
 TEST(RndTest, DeterministicPerSeed) {
     LoopParams p = make_params(100000, 8);
     p.seed = 99;
-    const auto a = enumerate_chunks(Technique::RND, p);
-    const auto b = enumerate_chunks(Technique::RND, p);
-    EXPECT_EQ(sizes_of(a), sizes_of(b));
+    const auto a = table_sizes(Technique::RND, p);
+    EXPECT_EQ(a, table_sizes(Technique::RND, p));
     p.seed = 100;
-    const auto c = enumerate_chunks(Technique::RND, p);
-    EXPECT_NE(sizes_of(a), sizes_of(c));
+    EXPECT_NE(a, table_sizes(Technique::RND, p));
 }
 
 TEST(RndTest, SizesWithinBounds) {
     LoopParams p = make_params(100000, 8);
     p.rnd_lo = 50;
     p.rnd_hi = 200;
-    const auto chunks = enumerate_chunks(Technique::RND, p);
-    for (std::size_t i = 0; i + 1 < chunks.size(); ++i) {  // last may be clamped
-        EXPECT_GE(chunks[i].size, 50);
-        EXPECT_LE(chunks[i].size, 200);
+    const auto sizes = table_sizes(Technique::RND, p);
+    for (std::size_t i = 0; i + 1 < sizes.size(); ++i) {  // last may be clamped
+        EXPECT_GE(sizes[i], 50);
+        EXPECT_LE(sizes[i], 200);
     }
 }
 
@@ -320,12 +347,6 @@ TEST(ValidationTest, BadParamsThrow) {
     p = make_params(10, 0);
     EXPECT_THROW(p.validate(), std::invalid_argument);
     p = make_params(10, 2);
-    p.weights = {1.0};  // wrong arity
-    EXPECT_THROW(p.validate(), std::invalid_argument);
-    p = make_params(10, 2);
-    p.weights = {1.0, -1.0};
-    EXPECT_THROW(p.validate(), std::invalid_argument);
-    p = make_params(10, 2);
     p.min_chunk = 0;
     EXPECT_THROW(p.validate(), std::invalid_argument);
     p = make_params(10, 2);
@@ -333,186 +354,24 @@ TEST(ValidationTest, BadParamsThrow) {
     EXPECT_THROW(p.validate(), std::invalid_argument);
 }
 
-TEST(ValidationTest, WorkerIdRangeEnforced) {
-    auto sched = make_scheduler(Technique::GSS, make_params(100, 4));
-    EXPECT_THROW((void)sched->next(4), std::out_of_range);
-    EXPECT_THROW((void)sched->next(-1), std::out_of_range);
-}
+// -------------------------------------------------------- shape properties
 
-TEST(ValidationTest, EmptyLoopYieldsNothing) {
-    for (const Technique t : all_techniques()) {
-        auto sched = make_scheduler(t, make_params(0, 4));
-        EXPECT_EQ(sched->next(0), std::nullopt) << technique_name(t);
-        EXPECT_EQ(sched->remaining(), 0);
-    }
-}
-
-// -------------------------------------------------- partition property sweep
-
-struct SweepCase {
-    Technique technique;
-    std::int64_t n;
-    int p;
-};
-
-class PartitionSweep : public ::testing::TestWithParam<SweepCase> {};
-
-TEST_P(PartitionSweep, ChunksPartitionTheIterationSpace) {
-    const auto& [tech, n, p] = GetParam();
-    const auto chunks = enumerate_chunks(tech, make_params(n, p));
-    std::int64_t expected_start = 0;
-    for (const auto& c : chunks) {
-        EXPECT_EQ(c.start, expected_start);
-        EXPECT_GE(c.size, 1);
-        expected_start += c.size;
-    }
-    EXPECT_EQ(expected_start, n);
-    // Steps must be consecutive from 0.
-    for (std::size_t i = 0; i < chunks.size(); ++i) {
-        EXPECT_EQ(chunks[i].step, static_cast<std::int64_t>(i));
-    }
-}
-
-std::vector<SweepCase> partition_cases() {
-    std::vector<SweepCase> cases;
-    for (const Technique t : all_techniques()) {
-        for (const std::int64_t n : {1LL, 7LL, 100LL, 4096LL, 100000LL}) {
-            for (const int p : {1, 2, 4, 16, 61}) {
-                cases.push_back({t, n, p});
-            }
-        }
-    }
-    return cases;
-}
-
-std::string sweep_name(const ::testing::TestParamInfo<SweepCase>& info) {
-    std::string name(technique_name(info.param.technique));
-    for (char& c : name) {
-        if (c == '-') {
-            c = '_';
-        }
-    }
-    return name + "_N" + std::to_string(info.param.n) + "_P" + std::to_string(info.param.p);
-}
-
-INSTANTIATE_TEST_SUITE_P(AllTechniques, PartitionSweep, ::testing::ValuesIn(partition_cases()),
-                         sweep_name);
-
-// ------------------------------------- distributed (step-indexed) protocol
-
-/// Sequential model of the distributed chunk-calculation protocol: a shared
-/// step counter and a shared scheduled-iterations counter, with the hint
-/// clamped against the latter — exactly what the MPI window in the paper
-/// stores (latest scheduling step + total scheduled iterations).
-std::vector<Assignment> drain_step_indexed(Technique t, const LoopParams& p) {
-    std::vector<Assignment> out;
-    std::int64_t step_counter = 0;
-    std::int64_t scheduled = 0;
-    while (scheduled < p.total_iterations) {
-        const std::int64_t step = step_counter++;
-        const std::int64_t hint = chunk_size_for_step(t, p, step);
-        const std::int64_t start = scheduled;
-        const std::int64_t size = std::min(hint, p.total_iterations - start);
-        scheduled += size;
-        if (size > 0) {
-            out.push_back({start, size, step});
-        }
-    }
-    return out;
-}
-
-class StepIndexedSweep : public ::testing::TestWithParam<SweepCase> {};
-
-TEST_P(StepIndexedSweep, DistributedProtocolCoversLoopExactly) {
-    const auto& [tech, n, p] = GetParam();
-    const auto chunks = drain_step_indexed(tech, make_params(n, p));
-    std::int64_t covered = 0;
-    std::int64_t expected_start = 0;
-    for (const auto& c : chunks) {
-        EXPECT_EQ(c.start, expected_start);
-        expected_start += c.size;
-        covered += c.size;
-    }
-    EXPECT_EQ(covered, n);
-}
-
-TEST_P(StepIndexedSweep, HintsArePositiveWhileIterationsRemain) {
-    const auto& [tech, n, p] = GetParam();
-    const LoopParams lp = make_params(n, p);
-    // The first ceil(N / min-hint) steps can never produce a non-positive
-    // hint, otherwise the distributed protocol would stall.
-    for (std::int64_t s = 0; s < 64; ++s) {
-        const auto hint = chunk_size_for_step(tech, lp, s);
-        if (tech == Technique::Static && s >= std::min<std::int64_t>(n, p)) {
-            continue;  // STATIC legitimately runs out after min(N, P) steps
-        }
-        EXPECT_GT(hint, 0) << technique_name(tech) << " step " << s;
-    }
-}
-
-std::vector<SweepCase> step_indexed_cases() {
-    std::vector<SweepCase> cases;
-    for (const Technique t : all_techniques()) {
-        if (!supports_step_indexed(t)) {
-            continue;
-        }
-        for (const std::int64_t n : {1LL, 100LL, 4096LL, 100000LL}) {
-            for (const int p : {1, 2, 4, 16, 61}) {
-                cases.push_back({t, n, p});
-            }
-        }
-    }
-    return cases;
-}
-
-INSTANTIATE_TEST_SUITE_P(StepIndexed, StepIndexedSweep,
-                         ::testing::ValuesIn(step_indexed_cases()), sweep_name);
-
-// ------------------------------ stateful vs step-indexed exact equivalence
-
-/// STATIC and SS must agree bit-for-bit between the two forms; TSS agrees by
-/// construction (both use the same linear formula); GSS/FAC2 use documented
-/// closed-form approximations, so only their coverage is asserted (above).
-TEST(CrossValidationTest, StaticStatefulEqualsStepIndexed) {
-    for (const std::int64_t n : {1LL, 10LL, 999LL, 4096LL}) {
-        for (const int p : {1, 3, 16}) {
-            const LoopParams lp = make_params(n, p);
-            EXPECT_EQ(sizes_of(enumerate_chunks(Technique::Static, lp)),
-                      sizes_of(drain_step_indexed(Technique::Static, lp)));
+TEST(ShapePropertyTest, DecreasingTechniquesAreNonIncreasing) {
+    for (const Technique t : {Technique::GSS, Technique::TSS, Technique::FAC2}) {
+        const auto sizes = table_sizes(t, make_params(100000, 16));
+        for (std::size_t i = 0; i + 1 < sizes.size(); ++i) {
+            EXPECT_GE(sizes[i], sizes[i + 1]) << technique_name(t) << " at " << i;
         }
     }
 }
 
-TEST(CrossValidationTest, SsStatefulEqualsStepIndexed) {
-    const LoopParams lp = make_params(257, 4);
-    EXPECT_EQ(sizes_of(enumerate_chunks(Technique::SS, lp)),
-              sizes_of(drain_step_indexed(Technique::SS, lp)));
+TEST(ShapePropertyTest, GssFirstChunkIsStaticChunk) {
+    EXPECT_EQ(StepTable(Technique::GSS, make_params(64000, 16)).at(0).size, 64000 / 16);
 }
 
-TEST(CrossValidationTest, TssStatefulEqualsStepIndexed) {
-    for (const std::int64_t n : {100LL, 1000LL, 54321LL}) {
-        const LoopParams lp = make_params(n, 8);
-        EXPECT_EQ(sizes_of(enumerate_chunks(Technique::TSS, lp)),
-                  sizes_of(drain_step_indexed(Technique::TSS, lp)));
-    }
-}
-
-TEST(CrossValidationTest, GssClosedFormTracksExactForm) {
-    // The closed form ceil((N/P)(1-1/P)^s) must stay within a small relative
-    // envelope of the exact remaining-based sizes for the bulk of the loop.
-    const LoopParams lp = make_params(1 << 20, 16);
-    const auto exact = enumerate_chunks(Technique::GSS, lp);
-    for (std::size_t s = 0; s < exact.size() && exact[s].size > 64; ++s) {
-        const auto approx = gss_chunk(lp, static_cast<std::int64_t>(s));
-        const double rel = std::abs(static_cast<double>(approx - exact[s].size)) /
-                           static_cast<double>(exact[s].size);
-        EXPECT_LT(rel, 0.05) << "step " << s;
-    }
-}
-
-TEST(CrossValidationTest, Fac2ClosedFormMatchesBatchPattern) {
-    // Closed form: within each batch of P steps the size is constant and
-    // halves (up to ceiling) across batches.
+TEST(ShapePropertyTest, Fac2ClosedFormMatchesBatchPattern) {
+    // Within each batch of P steps the size is constant and halves (up to
+    // ceiling) across batches.
     const LoopParams lp = make_params(1 << 20, 16);
     for (std::int64_t b = 0; b < 10; ++b) {
         const auto first = fac2_chunk(lp, b * 16);
@@ -523,42 +382,26 @@ TEST(CrossValidationTest, Fac2ClosedFormMatchesBatchPattern) {
     }
 }
 
-// -------------------------------------------------------- shape properties
-
-TEST(ShapePropertyTest, DecreasingTechniquesAreNonIncreasing) {
-    for (const Technique t : {Technique::GSS, Technique::TSS, Technique::FAC2}) {
-        const auto sizes = sizes_of(enumerate_chunks(t, make_params(100000, 16)));
-        for (std::size_t i = 0; i + 1 < sizes.size(); ++i) {
-            EXPECT_GE(sizes[i], sizes[i + 1]) << technique_name(t) << " at " << i;
-        }
-    }
-}
-
-TEST(ShapePropertyTest, GssFirstChunkIsStaticChunk) {
-    const auto chunks = enumerate_chunks(Technique::GSS, make_params(64000, 16));
-    EXPECT_EQ(chunks.front().size, 64000 / 16);
-}
-
 TEST(ShapePropertyTest, SchedulingStepCountsOrdering) {
     // SS takes the most steps, STATIC the fewest; GSS sits in between —
     // the overhead-vs-balance spectrum from the paper's Section 2.
     const LoopParams p = make_params(10000, 8);
-    const auto n_static = enumerate_chunks(Technique::Static, p).size();
-    const auto n_gss = enumerate_chunks(Technique::GSS, p).size();
-    const auto n_ss = enumerate_chunks(Technique::SS, p).size();
+    const auto n_static = StepTable(Technique::Static, p).steps();
+    const auto n_gss = StepTable(Technique::GSS, p).steps();
+    const auto n_ss = StepTable(Technique::SS, p).steps();
     EXPECT_LT(n_static, n_gss);
     EXPECT_LT(n_gss, n_ss);
-    EXPECT_EQ(n_ss, 10000u);
-    EXPECT_EQ(n_static, 8u);
+    EXPECT_EQ(n_ss, 10000);
+    EXPECT_EQ(n_static, 8);
 }
 
 TEST(ShapePropertyTest, MinChunkHonoredByDynamicTechniques) {
     LoopParams p = make_params(10000, 8);
     p.min_chunk = 16;
     for (const Technique t : {Technique::SS, Technique::GSS, Technique::TSS, Technique::FAC2}) {
-        const auto chunks = enumerate_chunks(t, p);
-        for (std::size_t i = 0; i + 1 < chunks.size(); ++i) {  // tail may clamp
-            EXPECT_GE(chunks[i].size, 16) << technique_name(t);
+        const auto sizes = table_sizes(t, p);
+        for (std::size_t i = 0; i + 1 < sizes.size(); ++i) {  // tail may clamp
+            EXPECT_GE(sizes[i], 16) << technique_name(t);
         }
     }
 }

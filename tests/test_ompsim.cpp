@@ -8,12 +8,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <mutex>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "dls/chunk_formulas.hpp"
-#include "dls/scheduler.hpp"
 #include "ompsim/team.hpp"
 
 namespace {
@@ -49,6 +50,15 @@ void expect_partition(const std::vector<ChunkRecord>& chunks, std::int64_t n) {
         expected = c.end;
     }
     EXPECT_EQ(expected, n);
+}
+
+std::vector<std::int64_t> sizes_of(const std::vector<ChunkRecord>& chunks) {
+    std::vector<std::int64_t> sizes;
+    sizes.reserve(chunks.size());
+    for (const auto& c : chunks) {
+        sizes.push_back(c.end - c.begin);
+    }
+    return sizes;
 }
 
 // ---------------------------------------------------------------- regions
@@ -208,19 +218,38 @@ TEST(ScheduleLayoutTest, DynamicOneIsSelfScheduling) {
 TEST(ScheduleLayoutTest, GuidedMatchesGssSequenceExactly) {
     // The guided cursor rule makes the (begin, size) sequence a
     // deterministic function of the shared cursor, independent of which
-    // thread wins each update — so it must equal the GSS master sequence.
+    // thread wins each update — so it must be the exact GSS sequence,
+    // ceil(R/P) for the R its predecessors leave. N=100, P=4 is the
+    // canonical trace from the literature.
     ThreadTeam team(4);
+    EXPECT_EQ(sizes_of(run_and_record(team, 100, ForOptions{Schedule::Guided, 1, false})),
+              (std::vector<std::int64_t>{25, 19, 14, 11, 8, 6, 5, 3, 3, 2, 1, 1, 1, 1}));
     const auto chunks = run_and_record(team, 1000, ForOptions{Schedule::Guided, 1, false});
-    hdls::dls::LoopParams p;
-    p.total_iterations = 1000;
-    p.workers = 4;
-    const auto gss = hdls::dls::enumerate_chunks(Technique::GSS, p);
-    ASSERT_EQ(chunks.size(), gss.size());
-    for (std::size_t i = 0; i < gss.size(); ++i) {
-        EXPECT_EQ(chunks[i].begin, gss[i].start) << i;
-        EXPECT_EQ(chunks[i].end - chunks[i].begin, gss[i].size) << i;
+    std::int64_t remaining = 1000;
+    for (std::size_t i = 0; i < chunks.size(); ++i) {
+        EXPECT_EQ(chunks[i].end - chunks[i].begin, (remaining + 3) / 4) << i;
+        remaining -= chunks[i].end - chunks[i].begin;
     }
     expect_partition(chunks, 1000);
+}
+
+TEST(ScheduleLayoutTest, GuidedTracksTheStepIndexedGss) {
+    // The MPI+MPI levels run GSS from the step index alone, the closed
+    // form ceil((N/P)(1-1/P)^s); it must stay within a small relative
+    // envelope of guided's exact-remaining sizes for the bulk of the loop.
+    constexpr std::int64_t kN = 1 << 20;
+    ThreadTeam team(16);
+    const auto exact = sizes_of(run_and_record(team, kN, ForOptions{Schedule::Guided, 1, false}));
+    hdls::dls::LoopParams p;
+    p.total_iterations = kN;
+    p.workers = 16;
+    const hdls::dls::StepTable table(Technique::GSS, p);
+    for (std::size_t s = 0; s < exact.size() && exact[s] > 64; ++s) {
+        const auto approx = table.at(static_cast<std::int64_t>(s)).size;
+        const double rel = std::abs(static_cast<double>(approx - exact[s])) /
+                           static_cast<double>(exact[s]);
+        EXPECT_LT(rel, 0.05) << "step " << s;
+    }
 }
 
 TEST(ScheduleLayoutTest, GuidedHonorsMinChunk) {
@@ -238,15 +267,13 @@ TEST(ScheduleLayoutTest, TssSingleThreadMatchesFormulas) {
     hdls::dls::LoopParams p;
     p.total_iterations = 1000;
     p.workers = 1;
-    std::int64_t step = 0;
-    std::int64_t scheduled = 0;
-    for (const auto& c : chunks) {
-        const auto hint = hdls::dls::chunk_size_for_step(Technique::TSS, p, step++);
-        EXPECT_EQ(c.begin, scheduled);
-        EXPECT_EQ(c.end - c.begin, std::min(hint, 1000 - scheduled));
-        scheduled += c.end - c.begin;
+    const hdls::dls::StepTable table(Technique::TSS, p);
+    ASSERT_EQ(static_cast<std::int64_t>(chunks.size()), table.steps());
+    for (std::size_t i = 0; i < chunks.size(); ++i) {
+        const auto range = table.at(static_cast<std::int64_t>(i));
+        EXPECT_EQ(chunks[i].begin, range.start) << i;
+        EXPECT_EQ(chunks[i].end - chunks[i].begin, range.size) << i;
     }
-    EXPECT_EQ(scheduled, 1000);
 }
 
 TEST(ScheduleLayoutTest, Fac2BatchesHalve) {

@@ -4,7 +4,7 @@
 /// backpressure, the 1 MB Resource cap), shm window atomics, the absolute
 /// 64-byte segment-alignment guarantee on both transports, replay parity
 /// of the hierarchical scheduler across transports, and the peer-failure
-/// regressions: abort-polled epoch acquisition (every LockPolicy), epoch
+/// regressions: abort-polled epoch acquisition, epoch
 /// release on local unwind, all-or-nothing lock_all, and abort-safe
 /// Window::free.
 
@@ -38,7 +38,6 @@ using minimpi::Comm;
 using minimpi::Context;
 using minimpi::Error;
 using minimpi::ErrorCode;
-using minimpi::LockPolicy;
 using minimpi::LockType;
 using minimpi::ReduceOp;
 using minimpi::Runtime;
@@ -48,20 +47,6 @@ using minimpi::TransportKind;
 using minimpi::Window;
 
 constexpr TransportKind kBothTransports[] = {TransportKind::Threads, TransportKind::Shm};
-
-/// Restores the previous lock policy even when a test assertion throws.
-class ScopedLockPolicy {
-public:
-    explicit ScopedLockPolicy(LockPolicy policy) : previous_(minimpi::lock_policy()) {
-        minimpi::set_lock_policy(policy);
-    }
-    ~ScopedLockPolicy() { minimpi::set_lock_policy(previous_); }
-    ScopedLockPolicy(const ScopedLockPolicy&) = delete;
-    ScopedLockPolicy& operator=(const ScopedLockPolicy&) = delete;
-
-private:
-    LockPolicy previous_;
-};
 
 // ------------------------------------------------------------ selection ----
 
@@ -255,10 +240,9 @@ TEST(WindowAlignmentTest, EverySegmentIs64ByteAlignedOnBothTransports) {
 /// Rank 1 fails while *keeping* an exclusive epoch open (the handle that
 /// owns the epoch outlives the unwind, as when a handle is stored outside
 /// the failing scope). Every other rank is contending for that epoch and
-/// must unwind with ErrorCode::Aborted in bounded time — under spinning
-/// and blocking lock policies alike — while the primary error surfaces.
-void peer_failure_while_holding_epoch(TransportKind kind, LockPolicy policy) {
-    const ScopedLockPolicy scoped(policy);
+/// must unwind with ErrorCode::Aborted in bounded time while the primary
+/// error surfaces.
+void peer_failure_while_holding_epoch(TransportKind kind) {
     // Keeps rank 1's locked handle alive past its unwind; reset after the
     // run releases the epoch against still-valid storage.
     std::optional<Window> survivor;
@@ -306,21 +290,8 @@ void peer_failure_while_holding_epoch(TransportKind kind, LockPolicy policy) {
 TEST(PeerFailureTest, ContendedExclusiveEpochUnwindsWithAborted) {
     for (const TransportKind kind : kBothTransports) {
         SCOPED_TRACE(minimpi::transport_name(kind));
-        peer_failure_while_holding_epoch(kind, LockPolicy::Backoff);
+        peer_failure_while_holding_epoch(kind);
     }
-}
-
-TEST(PeerFailureTest, BlockPolicyWaitsAreBoundedByAbort) {
-    // The regression that motivated bounded waits: under LockPolicy::Block
-    // the waiter used to park in the OS with nothing to wake it.
-    for (const TransportKind kind : kBothTransports) {
-        SCOPED_TRACE(minimpi::transport_name(kind));
-        peer_failure_while_holding_epoch(kind, LockPolicy::Block);
-    }
-}
-
-TEST(PeerFailureTest, SpinPolicyObservesAbort) {
-    peer_failure_while_holding_epoch(TransportKind::Threads, LockPolicy::Spin);
 }
 
 TEST(PeerFailureTest, PendingAtomicUpdateRequestObservesAbort) {
