@@ -1,7 +1,8 @@
 /// \file bench_micro_queue_primitives.cpp
 /// google-benchmark micro-measurements of the queue primitives whose cost
 /// ordering drives the paper's result: the OpenMP-style atomic dequeue vs
-/// the MPI-style locked window access (and the real minimpi window path).
+/// the MPI-style locked window access (and the real minimpi window path and
+/// node-queue pop).
 /// These are *host* costs — the simulator's CostModel adds the MPI
 /// software-path constants on top — but the ordering (atomic << lock)
 /// and the contention trend are the properties the model relies on.
@@ -12,6 +13,7 @@
 #include <chrono>
 #include <shared_mutex>
 
+#include "core/local_queue.hpp"
 #include "minimpi/minimpi.hpp"
 
 namespace {
@@ -38,8 +40,8 @@ void BM_MpiStyleLockedQueueAccess(benchmark::State& state) {
     static std::int64_t queue_state[4] = {0, 0, 0, 0};
     for (auto _ : state) {
         window_lock.lock();
-        queue_state[0] += 1;  // sub_step
-        queue_state[1] += 7;  // sub_scheduled
+        queue_state[0] += 1;  // a step counter
+        queue_state[1] += 7;  // the iterations it covers
         benchmark::DoNotOptimize(queue_state[1]);
         window_lock.unlock();
     }
@@ -109,6 +111,38 @@ void BM_MinimpiWindowLockEpoch(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * kOpsPerRank * ranks);
 }
 BENCHMARK(BM_MinimpiWindowLockEpoch)->Arg(1)->Arg(4)->Arg(8)->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
+
+/// The real node-queue pop that replaced the locked access: `ranks` rank
+/// threads drain one pushed SS chunk through NodeWorkQueue::try_pop, each
+/// pop one compare-and-swap on the head slot's claim word.
+void BM_NodeQueueStepClaim(benchmark::State& state) {
+    const int ranks = static_cast<int>(state.range(0));
+    constexpr std::int64_t kOpsPerRank = 20000;
+    for (auto _ : state) {
+        using Clock = std::chrono::steady_clock;
+        double seconds = 0.0;
+        minimpi::Runtime::run(ranks, [&](minimpi::Context& ctx) {
+            hdls::core::NodeWorkQueue queue(ctx.world(), hdls::dls::Technique::SS, 1);
+            if (ctx.rank() == 0) {
+                queue.begin_refill();
+                (void)queue.push_and_pop(0, kOpsPerRank * ranks);
+            }
+            ctx.world().barrier();
+            const auto t0 = Clock::now();
+            while (queue.try_pop()) {
+            }
+            ctx.world().barrier();
+            if (ctx.rank() == 0) {
+                seconds = std::chrono::duration<double>(Clock::now() - t0).count();
+            }
+            queue.free();
+        });
+        state.SetIterationTime(seconds);
+    }
+    state.SetItemsProcessed(state.iterations() * kOpsPerRank * ranks);
+}
+BENCHMARK(BM_NodeQueueStepClaim)->Arg(1)->Arg(4)->Arg(8)->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

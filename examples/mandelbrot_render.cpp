@@ -37,10 +37,11 @@ int main(int argc, char** argv) {
             std::cerr << "unknown technique (try STATIC, SS, GSS, TSS, FAC2, ...)\n";
             return 2;
         }
-        const std::string approach_str = cli.get_string("approach");
-        const core::Approach approach = approach_str == "MPI+OpenMP"
-                                            ? core::Approach::MpiOpenMp
-                                            : core::Approach::MpiMpi;
+        const auto approach = core::parse_approach(cli.get_string("approach"));
+        if (!approach) {
+            std::cerr << "bad --approach '" << cli.get_string("approach") << "'\n";
+            return 2;
+        }
 
         apps::MandelbrotConfig mcfg;
         mcfg.width = static_cast<int>(cli.get_int("width"));
@@ -54,12 +55,12 @@ int main(int argc, char** argv) {
         cfg.intra = *intra;
 
         std::cout << "Rendering " << mcfg.width << "x" << mcfg.height << " (max_iter "
-                  << mcfg.max_iter << ") with " << core::approach_name(approach) << " "
+                  << mcfg.max_iter << ") with " << core::approach_name(*approach) << " "
                   << dls::technique_name(*inter) << "+" << dls::technique_name(*intra)
                   << " on " << shape.nodes << "x" << shape.workers_per_node << " workers\n";
 
         apps::MandelbrotImage image(mcfg);
-        const auto report = parallel_for(shape, approach, cfg, mcfg.pixels(),
+        const auto report = parallel_for(shape, *approach, cfg, mcfg.pixels(),
                                          [&](std::int64_t b, std::int64_t e) {
                                              image.compute_range(b, e);
                                          });

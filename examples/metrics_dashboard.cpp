@@ -160,13 +160,9 @@ int main(int argc, char** argv) {
     shape.nodes = 2;
     shape.workers_per_node = 4;
 
-    core::HierConfig cfg;
-    cfg.inter = dls::Technique::GSS;
-    cfg.intra = dls::Technique::GSS;
+    core::HierConfig cfg;  // GSS+GSS unless HDLS_SCHEDULE says otherwise
     try {
-        cfg.inter_backend = core::inter_backend_from_env();
-        cfg.topology = core::topology_from_env();
-        cfg.prefetch = core::prefetch_from_env();
+        cfg = core::config_from_env(cfg);
     } catch (const std::invalid_argument& e) {
         std::cerr << e.what() << "\n";
         return 2;

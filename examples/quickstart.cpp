@@ -5,6 +5,7 @@
 ///
 ///   $ ./quickstart
 ///   $ HDLS_TOPOLOGY=racks=2,nodes=2,cores=2 ./quickstart   # 3-level tree
+///   $ HDLS_SCHEDULE=FAC2+GSS+SS HDLS_TOPOLOGY=racks=2,nodes=2,cores=2 ./quickstart
 ///   $ HDLS_INTER_BACKEND=sharded ./quickstart              # stealing levels
 ///
 /// The loop body just burns a deterministic, intentionally imbalanced
@@ -31,25 +32,18 @@ int main() {
     core::HierConfig cfg;
     cfg.inter = dls::Technique::GSS;   // between level-0 groups (root queue)
     cfg.intra = dls::Technique::GSS;   // within a leaf group (shared local queue)
-    core::ChaosSpec chaos;
+    bool drill = false;
     try {
-        // HDLS_INTER_BACKEND=sharded swaps every interior level for the
-        // work-stealing backend (per-entity shards at the root, per-child
-        // shards in the relays — see README, "Architecture").
-        cfg.inter_backend = core::inter_backend_from_env();
-        // HDLS_TOPOLOGY reshapes the machine tree (racks=2,nodes=2,cores=2
-        // schedules the same 8 workers through a 3-level hierarchy).
-        // Malformed values throw — fix the spec rather than silently
-        // measuring defaults.
-        cfg.topology = core::topology_from_env();
-        // HDLS_PREFETCH=1 overlaps each worker's next chunk acquisition
-        // with its current chunk's execution (double-buffered slot).
-        cfg.prefetch = core::prefetch_from_env();
+        // The program-scope knobs (HDLS_SCHEDULE, HDLS_TOPOLOGY,
+        // HDLS_INTER_BACKEND, HDLS_PREFETCH, HDLS_TRACE) override the
+        // defaults above. Malformed values throw — fix the spec rather
+        // than silently measuring defaults.
+        cfg = core::config_from_env(cfg);
         // HDLS_CHAOS=kill:<rank>@<pct>% fail-stops a rank mid-loop; with
         // HDLS_LEASE=1 the survivors reclaim its chunks (the fault drill —
         // see docs/fault-tolerance.md). Only peeked at here to decide
         // whether the baseline comparison below makes sense.
-        chaos = core::chaos_from_env();
+        drill = core::read_env(core::KnobScope::Run).chaos.has_value();
     } catch (const std::invalid_argument& e) {
         std::cerr << e.what() << "\n";
         return 2;
@@ -89,7 +83,7 @@ int main() {
     report.print(std::cout);
 
     bool all_once = report.executed_iterations() == kIterations;
-    if (chaos.enabled()) {
+    if (drill) {
         // A fault drill only exercises the MPI+MPI executor; the baseline
         // has no failure handling and would refuse the chaos spec.
         std::cout << "\n(baseline comparison skipped: HDLS_CHAOS drills the"

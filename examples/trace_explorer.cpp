@@ -38,7 +38,8 @@ int main(int argc, char** argv) {
     util::ArgParser cli("trace_explorer",
                         "Traces one hierarchical loop execution and exports its events");
     cli.add_string("schedule", "GSS+SS",
-                   "one technique per level, e.g. FAC2+STATIC or FAC2+GSS+SS");
+                   "one technique per level, e.g. FAC2+STATIC or FAC2+GSS+SS "
+                   "(default: HDLS_SCHEDULE or GSS+SS)");
     cli.add_string("approach", "MPI+MPI", "MPI+MPI | MPI+OpenMP");
     cli.add_int("nodes", 2, "simulated compute nodes");
     cli.add_int("wpn", 4, "workers (ranks/threads) per node");
@@ -96,12 +97,17 @@ int main(int argc, char** argv) {
     }
 
     core::HierConfig cfg = *cfg_opt;
-    cfg.trace = core::trace_from_env(true);  // HDLS_TRACE=0 turns it off
+    cfg.trace = true;  // HDLS_TRACE=0 turns it off
     cfg.trace_capacity = static_cast<std::size_t>(cli.get_int("capacity"));
     try {
-        cfg.inter_backend = core::inter_backend_from_env();
-        cfg.topology = core::topology_from_env();
-        cfg.prefetch = core::prefetch_from_env();
+        // The HDLS_* program knobs first; explicit flags beat them.
+        cfg = core::config_from_env(cfg);
+        if (cli.provided("schedule")) {
+            cfg.inter = cfg_opt->inter;
+            cfg.intra = cfg_opt->intra;
+            cfg.min_chunk = cfg_opt->min_chunk;
+            cfg.levels = cfg_opt->levels;
+        }
         if (const std::string topo = cli.get_string("topology"); !topo.empty()) {
             cfg.topology = core::parse_topology(topo);
         }

@@ -1,13 +1,14 @@
 #include "apps/synthetic.hpp"
 
 #include <algorithm>
-#include <cctype>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
 #include <string>
 
 #include "simd/dispatch.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 
 namespace hdls::apps {
@@ -127,18 +128,12 @@ std::string_view workload_name(WorkloadKind k) noexcept {
 }
 
 std::optional<WorkloadKind> workload_from_string(std::string_view name) noexcept {
-    std::string lower(name);
-    std::transform(lower.begin(), lower.end(), lower.begin(),
-                   [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-    for (const WorkloadKind k :
-         {WorkloadKind::Constant, WorkloadKind::Uniform, WorkloadKind::Gaussian,
-          WorkloadKind::Exponential, WorkloadKind::Bimodal, WorkloadKind::IncreasingRamp,
-          WorkloadKind::DecreasingRamp}) {
-        if (lower == workload_name(k)) {
-            return k;
-        }
-    }
-    return std::nullopt;
+    return util::from_name(
+        name,
+        std::array{WorkloadKind::Constant, WorkloadKind::Uniform, WorkloadKind::Gaussian,
+                   WorkloadKind::Exponential, WorkloadKind::Bimodal,
+                   WorkloadKind::IncreasingRamp, WorkloadKind::DecreasingRamp},
+        workload_name);
 }
 
 }  // namespace hdls::apps

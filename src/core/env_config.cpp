@@ -1,38 +1,28 @@
 #include "core/env_config.hpp"
 
-#include <algorithm>
 #include <cctype>
-#include <charconv>
 #include <cstdlib>
 #include <stdexcept>
 
-#include "util/log.hpp"
+#include "util/parse.hpp"
 
 namespace hdls::core {
 
 namespace {
 
-[[nodiscard]] std::string normalized(std::string_view text) {
+/// `text` without whitespace, each character passed through `fold`.
+[[nodiscard]] std::string stripped(std::string_view text, int (*fold)(int) = nullptr) {
     std::string out;
-    out.reserve(text.size());
     for (const char ch : text) {
-        if (!std::isspace(static_cast<unsigned char>(ch))) {
-            out.push_back(static_cast<char>(std::toupper(static_cast<unsigned char>(ch))));
+        const auto c = static_cast<unsigned char>(ch);
+        if (!std::isspace(c)) {
+            out.push_back(static_cast<char>(fold != nullptr ? fold(c) : c));
         }
     }
     return out;
 }
 
-[[nodiscard]] std::string stripped(std::string_view text) {
-    std::string out;
-    out.reserve(text.size());
-    for (const char ch : text) {
-        if (!std::isspace(static_cast<unsigned char>(ch))) {
-            out.push_back(ch);
-        }
-    }
-    return out;
-}
+[[nodiscard]] std::string normalized(std::string_view text) { return stripped(text, ::toupper); }
 
 [[nodiscard]] std::vector<std::string> split(const std::string& text, char sep) {
     std::vector<std::string> parts;
@@ -52,49 +42,35 @@ namespace {
 
 std::optional<HierConfig> parse_schedule(std::string_view text) {
     const std::string s = normalized(text);
-    if (s.empty()) {
-        return std::nullopt;
-    }
-    std::string combo = s;
+    const std::size_t comma = s.find(',');
     HierConfig cfg;
-    if (const auto comma = s.find(','); comma != std::string::npos) {
-        combo = s.substr(0, comma);
-        const std::string option = s.substr(comma + 1);
+    if (comma != std::string::npos) {
         constexpr std::string_view kKey = "MIN_CHUNK=";
-        if (option.rfind(kKey, 0) != 0) {
+        const std::string option = s.substr(comma + 1);
+        const auto k = option.starts_with(kKey)
+                           ? util::parse_integer<std::int64_t>(option.substr(kKey.size()), 1)
+                           : std::nullopt;
+        if (!k) {
             return std::nullopt;
         }
-        const std::string value = option.substr(kKey.size());
-        std::int64_t k = 0;
-        const auto [ptr, ec] =
-            std::from_chars(value.data(), value.data() + value.size(), k);
-        if (ec != std::errc{} || ptr != value.data() + value.size() || k < 1) {
-            return std::nullopt;
-        }
-        cfg.min_chunk = k;
+        cfg.min_chunk = *k;
     }
-    const std::vector<std::string> parts = split(combo, '+');
-    if (parts.size() < 2) {
-        return std::nullopt;
-    }
-    std::vector<dls::Technique> techniques;
-    techniques.reserve(parts.size());
-    for (const std::string& part : parts) {
+    // One technique per topology level; backends stay unset so each
+    // interior level inherits the run's inter_backend.
+    for (const std::string& part : split(s.substr(0, comma), '+')) {
         const auto t = dls::technique_from_string(part);
         if (!t) {
             return std::nullopt;
         }
-        techniques.push_back(*t);
+        cfg.levels.push_back(LevelConfig{*t, std::nullopt});
     }
-    cfg.inter = techniques.front();
-    cfg.intra = techniques.back();
-    if (techniques.size() > 2) {
-        // One technique per topology level; backends stay unset so each
-        // interior level inherits the run's inter_backend.
-        cfg.levels.reserve(techniques.size());
-        for (const dls::Technique t : techniques) {
-            cfg.levels.push_back(LevelConfig{t, std::nullopt});
-        }
+    if (cfg.levels.size() < 2) {
+        return std::nullopt;
+    }
+    cfg.inter = cfg.levels.front().technique;
+    cfg.intra = cfg.levels.back().technique;
+    if (cfg.levels.size() == 2) {
+        cfg.levels.clear();  // the classic inter+intra pair
     }
     return cfg;
 }
@@ -102,11 +78,9 @@ std::optional<HierConfig> parse_schedule(std::string_view text) {
 std::string format_schedule(const HierConfig& cfg) {
     std::string out;
     if (cfg.levels.size() > 2) {
-        for (std::size_t d = 0; d < cfg.levels.size(); ++d) {
-            if (d > 0) {
-                out += "+";
-            }
-            out += std::string(dls::technique_name(cfg.levels[d].technique));
+        for (const LevelConfig& lv : cfg.levels) {
+            out += out.empty() ? "" : "+";
+            out += dls::technique_name(lv.technique);
         }
     } else {
         out = std::string(dls::technique_name(cfg.inter)) + "+" +
@@ -149,18 +123,16 @@ std::vector<minimpi::TopologyLevel> parse_topology(std::string_view text) {
         if (name.empty()) {
             throw std::invalid_argument("topology: level '" + entry + "' has an empty name");
         }
-        int fan_out = 0;
-        const auto [ptr, ec] =
-            std::from_chars(value.data(), value.data() + value.size(), fan_out);
-        if (ec != std::errc{} || ptr != value.data() + value.size()) {
+        const auto fan_out = util::parse_integer<int>(value);
+        if (!fan_out) {
             throw std::invalid_argument("topology: level '" + name + "' fan-out '" + value +
                                         "' is not a number");
         }
-        if (fan_out < 1) {
+        if (*fan_out < 1) {
             throw std::invalid_argument("topology: level '" + name +
                                         "' fan-out must be >= 1 (got " + value + ")");
         }
-        tree.push_back({name, fan_out});
+        tree.push_back({name, *fan_out});
     }
     return tree;
 }
@@ -176,309 +148,228 @@ std::string format_topology(const std::vector<minimpi::TopologyLevel>& tree) {
     return out;
 }
 
-HierConfig schedule_from_env(const HierConfig& fallback) {
-    const char* value = std::getenv("HDLS_SCHEDULE");
-    if (value == nullptr) {
-        return fallback;
-    }
-    if (const auto cfg = parse_schedule(value)) {
-        // The env var expresses the *schedule* (per-level techniques,
-        // min_chunk); every other field — tracing, topology, extension
-        // schedules, WF node weights, FAC inputs, whatever is added next —
-        // keeps the program's configuration.
-        HierConfig merged = fallback;
-        merged.inter = cfg->inter;
-        merged.intra = cfg->intra;
-        merged.min_chunk = cfg->min_chunk;
-        merged.levels = cfg->levels;
-        return merged;
-    }
-    util::log_warn("HDLS_SCHEDULE='", value, "' is malformed; using ",
-                   format_schedule(fallback));
-    return fallback;
-}
-
-Approach approach_from_env(Approach fallback) {
-    const char* value = std::getenv("HDLS_APPROACH");
-    if (value == nullptr) {
-        return fallback;
-    }
-    if (const auto a = parse_approach(value)) {
-        return *a;
-    }
-    util::log_warn("HDLS_APPROACH='", value, "' is malformed; using ",
-                   approach_name(fallback));
-    return fallback;
-}
-
-bool trace_from_env(bool fallback) {
-    const char* value = std::getenv("HDLS_TRACE");
-    if (value == nullptr) {
-        return fallback;
-    }
-    const std::string s = normalized(value);
-    if (s == "1" || s == "ON" || s == "TRUE" || s == "YES") {
-        return true;
-    }
-    if (s == "0" || s == "OFF" || s == "FALSE" || s == "NO") {
-        return false;
-    }
-    util::log_warn("HDLS_TRACE='", value, "' is malformed; using ",
-                   fallback ? "on" : "off");
-    return fallback;
-}
-
-bool prefetch_from_env(bool fallback) {
-    const char* value = std::getenv("HDLS_PREFETCH");
-    if (value == nullptr) {
-        return fallback;
-    }
-    const std::string s = normalized(value);
-    if (s == "1" || s == "ON" || s == "TRUE" || s == "YES") {
-        return true;
-    }
-    if (s == "0" || s == "OFF" || s == "FALSE" || s == "NO") {
-        return false;
-    }
-    throw std::invalid_argument(std::string("HDLS_PREFETCH='") + value +
-                                "' is not a boolean (expected 1/on/true/yes or 0/off/false/no)");
-}
-
-dls::InterBackend inter_backend_from_env(dls::InterBackend fallback) {
-    const char* value = std::getenv("HDLS_INTER_BACKEND");
-    if (value == nullptr) {
-        return fallback;
-    }
-    if (const auto b = dls::inter_backend_from_string(value)) {
-        return *b;
-    }
-    throw std::invalid_argument(std::string("HDLS_INTER_BACKEND='") + value +
-                                "' is not a backend (expected 'centralized' or 'sharded')");
-}
-
-std::vector<minimpi::TopologyLevel> topology_from_env(
-    std::vector<minimpi::TopologyLevel> fallback) {
-    const char* value = std::getenv("HDLS_TOPOLOGY");
-    if (value == nullptr) {
-        return fallback;
-    }
-    try {
-        return parse_topology(value);
-    } catch (const std::invalid_argument& e) {
-        throw std::invalid_argument(std::string("HDLS_TOPOLOGY: ") + e.what());
-    }
-}
-
-bool metrics_from_env(bool fallback) {
-    const char* value = std::getenv("HDLS_METRICS");
-    if (value == nullptr) {
-        return fallback;
-    }
-    const std::string s = normalized(value);
-    if (s == "1" || s == "ON" || s == "TRUE" || s == "YES") {
-        return true;
-    }
-    if (s == "0" || s == "OFF" || s == "FALSE" || s == "NO") {
-        return false;
-    }
-    throw std::invalid_argument(std::string("HDLS_METRICS='") + value +
-                                "' is not a boolean (expected 1/on/true/yes or 0/off/false/no)");
-}
-
-std::chrono::milliseconds metrics_period_from_env(std::chrono::milliseconds fallback) {
-    const char* value = std::getenv("HDLS_METRICS_PERIOD_MS");
-    if (value == nullptr) {
-        return fallback;
-    }
-    const std::string s = stripped(value);
-    std::int64_t ms = 0;
-    const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), ms);
-    if (ec != std::errc{} || ptr != s.data() + s.size() || ms < 1) {
-        throw std::invalid_argument(std::string("HDLS_METRICS_PERIOD_MS='") + value +
-                                    "' is not a positive integer (milliseconds)");
-    }
-    return std::chrono::milliseconds(ms);
-}
-
-minimpi::TransportKind transport_from_env(minimpi::TransportKind fallback) {
-    return minimpi::transport_from_env(fallback);
-}
-
-int max_jobs_from_env(int fallback) {
-    const char* value = std::getenv("HDLS_MAX_JOBS");
-    if (value == nullptr) {
-        return fallback;
-    }
-    const std::string s = stripped(value);
-    int jobs = 0;
-    const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), jobs);
-    if (ec != std::errc{} || ptr != s.data() + s.size() || jobs < 1) {
-        throw std::invalid_argument(std::string("HDLS_MAX_JOBS='") + value +
-                                    "' is not a positive integer");
-    }
-    return jobs;
-}
-
-int job_queue_depth_from_env(int fallback) {
-    const char* value = std::getenv("HDLS_JOB_QUEUE_DEPTH");
-    if (value == nullptr) {
-        return fallback;
-    }
-    const std::string s = stripped(value);
-    int depth = -1;
-    const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), depth);
-    if (ec != std::errc{} || ptr != s.data() + s.size() || depth < 0) {
-        throw std::invalid_argument(std::string("HDLS_JOB_QUEUE_DEPTH='") + value +
-                                    "' is not a non-negative integer");
-    }
-    return depth;
-}
-
-simd::SimdMode simd_mode_from_env(simd::SimdMode fallback) {
-    const char* value = std::getenv("HDLS_SIMD");
-    if (value == nullptr) {
-        return fallback;
-    }
-    const std::string s = normalized(value);
-    if (s == "AUTO") {
-        return simd::SimdMode::Auto;
-    }
-    if (s == "SCALAR") {
-        return simd::SimdMode::ForceScalar;
-    }
-    if (s == "NATIVE") {
-        return simd::SimdMode::Native;
-    }
-    throw std::invalid_argument(std::string("HDLS_SIMD='") + value +
-                                "' is not a SIMD policy (expected 'auto', 'scalar' or "
-                                "'native')");
-}
-
-bool lease_from_env(bool fallback) {
-    const char* value = std::getenv("HDLS_LEASE");
-    if (value == nullptr) {
-        return fallback;
-    }
-    const std::string s = normalized(value);
-    if (s == "1" || s == "ON" || s == "TRUE" || s == "YES") {
-        return true;
-    }
-    if (s == "0" || s == "OFF" || s == "FALSE" || s == "NO") {
-        return false;
-    }
-    throw std::invalid_argument(std::string("HDLS_LEASE='") + value +
-                                "' is not a boolean (expected 1/on/true/yes or 0/off/false/no)");
-}
-
-double lease_k_from_env(double fallback) {
-    const char* value = std::getenv("HDLS_LEASE_K");
-    if (value == nullptr) {
-        return fallback;
-    }
-    const std::string s = stripped(value);
-    char* end = nullptr;
-    const double k = std::strtod(s.c_str(), &end);
-    if (end != s.c_str() + s.size() || s.empty() || !(k > 0.0)) {
-        throw std::invalid_argument(std::string("HDLS_LEASE_K='") + value +
-                                    "' is not a positive number");
-    }
-    return k;
-}
-
-std::chrono::milliseconds heartbeat_timeout_from_env(std::chrono::milliseconds fallback) {
-    const char* value = std::getenv("HDLS_HEARTBEAT_TIMEOUT_MS");
-    if (value == nullptr) {
-        return fallback;
-    }
-    const std::string s = stripped(value);
-    std::int64_t ms = 0;
-    const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), ms);
-    if (ec != std::errc{} || ptr != s.data() + s.size() || ms < 1) {
-        throw std::invalid_argument(std::string("HDLS_HEARTBEAT_TIMEOUT_MS='") + value +
-                                    "' is not a positive integer (milliseconds)");
-    }
-    return std::chrono::milliseconds(ms);
-}
-
 ChaosSpec parse_chaos(std::string_view text) {
-    const std::string s = stripped(std::string(text));
+    const std::string s = stripped(text);
     const auto fail = [&text]() -> ChaosSpec {
         throw std::invalid_argument(std::string("chaos spec '") + std::string(text) +
                                     "' is malformed (expected \"kill:<rank>@<pct>%\", e.g. "
                                     "\"kill:1@50%\")");
     };
-    constexpr std::string_view kVerb = "kill:";
-    if (s.size() <= kVerb.size() || normalized(s.substr(0, kVerb.size())) != "KILL:") {
+    const std::size_t at = s.find('@');
+    if (normalized(s.substr(0, 5)) != "KILL:" || at == std::string::npos) {
         return fail();
     }
-    const std::string rest = stripped(s.substr(kVerb.size()));
-    const std::size_t at = rest.find('@');
-    if (at == std::string::npos) {
-        return fail();
-    }
-    const std::string rank_s = stripped(rest.substr(0, at));
-    std::string pct_s = stripped(rest.substr(at + 1));
+    std::string pct_s = s.substr(at + 1);
     if (!pct_s.empty() && pct_s.back() == '%') {
-        pct_s = stripped(pct_s.substr(0, pct_s.size() - 1));
+        pct_s.pop_back();
     }
-    ChaosSpec spec;
-    {
-        const auto [ptr, ec] =
-            std::from_chars(rank_s.data(), rank_s.data() + rank_s.size(), spec.kill_rank);
-        if (ec != std::errc{} || ptr != rank_s.data() + rank_s.size() || spec.kill_rank < 0) {
-            return fail();
-        }
+    const auto rank = util::parse_integer<int>(s.substr(5, at - 5), 0);
+    const auto pct = util::parse_number(pct_s);
+    if (!rank || !pct || *pct < 0.0 || *pct > 100.0) {
+        return fail();
     }
-    double pct = -1.0;
-    {
-        char* end = nullptr;
-        pct = std::strtod(pct_s.c_str(), &end);
-        if (pct_s.empty() || end != pct_s.c_str() + pct_s.size() || pct < 0.0 || pct > 100.0) {
-            return fail();
-        }
-    }
-    spec.at_fraction = pct / 100.0;
-    return spec;
+    return ChaosSpec{*rank, *pct / 100.0};
 }
 
-ChaosSpec chaos_from_env(ChaosSpec fallback) {
-    const char* value = std::getenv("HDLS_CHAOS");
-    if (value == nullptr) {
-        return fallback;
+namespace {
+
+// --------------------------------------------- one parser per value type ----
+
+[[nodiscard]] std::optional<bool> parse_bool(std::string_view text) {
+    const std::string s = normalized(text);
+    if (s == "1" || s == "ON" || s == "TRUE" || s == "YES") {
+        return true;
     }
+    if (s == "0" || s == "OFF" || s == "FALSE" || s == "NO") {
+        return false;
+    }
+    return std::nullopt;
+}
+
+template <int Min>
+[[nodiscard]] std::optional<int> parse_int(std::string_view text) {
+    return util::parse_integer<int>(stripped(text), Min);
+}
+
+[[nodiscard]] std::optional<std::chrono::milliseconds> parse_millis(std::string_view text) {
+    const auto ms = util::parse_integer<std::int64_t>(stripped(text), 1);
+    return ms ? std::optional(std::chrono::milliseconds(*ms)) : std::nullopt;
+}
+
+[[nodiscard]] std::optional<double> parse_positive(std::string_view text) {
+    const auto v = util::parse_number(stripped(text));
+    return v && *v > 0.0 ? v : std::nullopt;
+}
+
+[[nodiscard]] std::optional<std::string> parse_path(std::string_view text) {
+    return text.empty() ? std::nullopt : std::optional(std::string(text));
+}
+
+/// One of an enum's names (case-insensitive, spaces ignored).
+template <auto FromString>
+[[nodiscard]] auto parse_choice(std::string_view text) {
+    return FromString(stripped(text));
+}
+
+/// parse_chaos's own message would only repeat the grammar.
+[[nodiscard]] std::optional<ChaosSpec> parse_kill(std::string_view text) {
     try {
-        return parse_chaos(value);
-    } catch (const std::invalid_argument& e) {
-        throw std::invalid_argument(std::string("HDLS_CHAOS: ") + e.what());
+        return parse_chaos(text);
+    } catch (const std::invalid_argument&) {
+        return std::nullopt;
     }
 }
 
-minimpi::PinPolicy pin_from_env(minimpi::PinPolicy fallback) {
-    const char* value = std::getenv("HDLS_PIN");
-    if (value == nullptr) {
-        return fallback;
+/// A row's parser: Parse the value (a T or a std::optional<T>), store it
+/// in `Field`.
+template <auto Field, auto Parse>
+bool into(std::string_view value, EnvKnobs& knobs) {
+    std::optional parsed = Parse(value);
+    if (!parsed) {
+        return false;
     }
-    std::string s = stripped(value);
-    std::transform(s.begin(), s.end(), s.begin(),
-                   [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-    if (const auto p = minimpi::pin_policy_from_string(s)) {
-        return *p;
-    }
-    throw std::invalid_argument(std::string("HDLS_PIN='") + value +
-                                "' is not a pin policy (expected 'none', 'compact' or "
-                                "'scatter')");
+    knobs.*Field = std::move(*parsed);
+    return true;
 }
 
-std::string metrics_file_from_env(std::string fallback) {
-    const char* value = std::getenv("HDLS_METRICS_FILE");
-    if (value == nullptr) {
-        return fallback;
+constexpr std::string_view kBool = "1/on/true/yes or 0/off/false/no";
+constexpr std::string_view kMillis = "integer >= 1 (ms)";
+
+// ------------------------------------------------------------ the table ----
+
+constexpr KnobRow kKnobs[] = {
+    {"HDLS_SCHEDULE", "<L0>+<L1>[+<L2>...][,min_chunk=<k>]", "`GSS+GSS`",
+     "DLS technique per hierarchy level, outermost first; two techniques are the classic "
+     "inter+intra pair (e.g. `FAC2+SS,min_chunk=4`)",
+     KnobScope::Program, into<&EnvKnobs::schedule, parse_schedule>},
+    {"HDLS_TOPOLOGY", "name=fanout,name=fanout,...", "depth-2 `{nodes, cores}`",
+     "machine tree, outermost level first (e.g. `racks=2,nodes=4,cores=8`); fan-outs must "
+     "multiply to the world size",
+     KnobScope::Program, into<&EnvKnobs::topology, parse_topology>},
+    {"HDLS_INTER_BACKEND", "centralized | sharded", "`centralized`",
+     "backend for interior levels (root queue + relays)", KnobScope::Program,
+     into<&EnvKnobs::inter_backend, parse_choice<dls::inter_backend_from_string>>},
+    {"HDLS_PREFETCH", kBool, "`0`", "double-buffered asynchronous chunk prefetching",
+     KnobScope::Program, into<&EnvKnobs::prefetch, parse_bool>},
+    {"HDLS_TRACE", kBool, "`0`",
+     "chunk-event tracing into per-worker ring buffers (`trace_explorer` defaults to on)",
+     KnobScope::Program, into<&EnvKnobs::trace, parse_bool>},
+    {"HDLS_TRANSPORT", "threads | shm", "`threads`", "minimpi substrate of MPI+MPI runs",
+     KnobScope::Run, into<&EnvKnobs::transport, parse_choice<minimpi::transport_from_string>>},
+    {"HDLS_SIMD", "auto | scalar | native", "`auto`",
+     "SIMD backend policy for the batch kernels; `native` fails loudly without a vector "
+     "backend",
+     KnobScope::Run, into<&EnvKnobs::simd, parse_choice<simd::mode_from_string>>},
+    {"HDLS_PIN", "none | compact | scatter", "`none`",
+     "worker to CPU placement over the host's sockets", KnobScope::Run,
+     into<&EnvKnobs::pin, parse_choice<minimpi::pin_policy_from_string>>},
+    {"HDLS_METRICS", kBool, "`0`",
+     "background metrics sampler + exposition file + stall watchdog per run", KnobScope::Run,
+     into<&EnvKnobs::metrics, parse_bool>},
+    {"HDLS_METRICS_PERIOD_MS", kMillis, "`100`", "sampler/watchdog period", KnobScope::Run,
+     into<&EnvKnobs::metrics_period, parse_millis>},
+    {"HDLS_METRICS_FILE", "non-empty path", "`hdls-metrics.prom`",
+     "Prometheus exposition file (written atomically via rename)", KnobScope::Run,
+     into<&EnvKnobs::metrics_file, parse_path>},
+    {"HDLS_LEASE", kBool, "`0`",
+     "lease-based fault tolerance (MPI+MPI only; warned-and-ignored under MPI+OpenMP)",
+     KnobScope::Run, into<&EnvKnobs::lease, parse_bool>},
+    {"HDLS_LEASE_K", "positive number", "`8`",
+     "lease-deadline multiplier over the chunk-time EMA (100 ms floor)", KnobScope::Run,
+     into<&EnvKnobs::lease_k, parse_positive>},
+    {"HDLS_HEARTBEAT_TIMEOUT_MS", kMillis, "`1000`",
+     "heartbeat staleness after which the failure detector declares a rank dead",
+     KnobScope::Run, into<&EnvKnobs::heartbeat_timeout, parse_millis>},
+    {"HDLS_CHAOS", "kill:<rank>@<pct>%", "none",
+     "fault injection: fail-stop a rank at a loop-progress fraction (MPI+MPI with "
+     "`HDLS_LEASE=1` only)",
+     KnobScope::Run, into<&EnvKnobs::chaos, parse_kill>},
+    {"HDLS_MAX_JOBS", "integer >= 1", "`4`", "JobService: max concurrently running jobs",
+     KnobScope::Service, into<&EnvKnobs::max_jobs, parse_int<1>>},
+    {"HDLS_JOB_QUEUE_DEPTH", "integer >= 0", "`16`",
+     "JobService: bounded pending-job queue; submit past it throws `ErrorCode::Resource`",
+     KnobScope::Service, into<&EnvKnobs::job_queue_depth, parse_int<0>>},
+};
+
+/// Markdown-escapes a table cell: '|' would end the cell.
+[[nodiscard]] std::string cell(std::string_view text) {
+    std::string out;
+    for (const char ch : text) {
+        if (ch == '|') {
+            out += '\\';
+        }
+        out += ch;
     }
-    if (*value == '\0') {
-        throw std::invalid_argument(
-            "HDLS_METRICS_FILE='' is not a path (unset the variable to use the default)");
+    return out;
+}
+
+/// KnobScope names, in enumerator order.
+constexpr std::string_view kScopeNames[] = {"program", "run", "service"};
+
+}  // namespace
+
+std::span<const KnobRow> knob_table() noexcept { return kKnobs; }
+
+EnvKnobs read_env(KnobScope scope) {
+    EnvKnobs knobs;
+    for (const KnobRow& row : kKnobs) {
+        const char* value = row.scope == scope ? std::getenv(row.name.data()) : nullptr;
+        if (value == nullptr) {
+            continue;
+        }
+        std::string detail;
+        try {
+            if (row.parse(value, knobs)) {
+                continue;
+            }
+        } catch (const std::invalid_argument& e) {
+            detail = std::string(": ") + e.what();
+        }
+        throw std::invalid_argument(std::string(row.name) + "='" + value +
+                                    "' is malformed (expected " + std::string(row.grammar) +
+                                    ")" + detail);
     }
-    return value;
+    return knobs;
+}
+
+HierConfig config_from_env(HierConfig base) {
+    const EnvKnobs env = read_env(KnobScope::Program);
+    if (env.schedule) {
+        base.inter = env.schedule->inter;
+        base.intra = env.schedule->intra;
+        base.min_chunk = env.schedule->min_chunk;
+        base.levels = env.schedule->levels;
+    }
+    if (env.topology) {
+        base.topology = *env.topology;
+    }
+    base.inter_backend = env.inter_backend.value_or(base.inter_backend);
+    base.prefetch = env.prefetch.value_or(base.prefetch);
+    base.trace = env.trace.value_or(base.trace);
+    return base;
+}
+
+HierConfig resolve_run_config(HierConfig cfg, const EnvKnobs& env) {
+    cfg.transport = cfg.transport.value_or(env.transport);
+    cfg.simd = cfg.simd.value_or(env.simd);
+    cfg.pin = cfg.pin.value_or(env.pin);
+    cfg.lease = cfg.lease.value_or(env.lease);
+    cfg.lease_k = cfg.lease_k.value_or(env.lease_k);
+    cfg.heartbeat_timeout = cfg.heartbeat_timeout.value_or(env.heartbeat_timeout);
+    cfg.chaos = cfg.chaos ? cfg.chaos : env.chaos;
+    return cfg;
+}
+
+std::string render_knob_table() {
+    std::string out =
+        "| Knob | Values | Default | Scope | Meaning |\n"
+        "|---|---|---|---|---|\n";
+    for (const KnobRow& row : kKnobs) {
+        out += "| `" + std::string(row.name) + "` | `" + cell(row.grammar) + "` | " +
+               cell(row.fallback) + " | " + cell(kScopeNames[static_cast<int>(row.scope)]) +
+               " | " + cell(row.meaning) + " |\n";
+    }
+    return out;
 }
 
 }  // namespace hdls::core

@@ -76,7 +76,7 @@ std::vector<WorkerStats> run_hybrid_rank(minimpi::Context& ctx, int threads_per_
     // [rank*T, rank*T + T) of the host-wide plan, so co-located ranks
     // interleave over the sockets instead of stacking onto core 0.
     ompsim::ThreadTeam::Placement placement;
-    placement.policy = cfg.pin.value_or(minimpi::PinPolicy::None);
+    placement.policy = *cfg.pin;
     placement.first_worker = ctx.rank() * threads_per_node;
     ompsim::ThreadTeam team(threads_per_node, placement);
 

@@ -41,7 +41,8 @@ public:
 /// under global worker id rank * threads_per_node + tid. `hooks.watchdog`
 /// receives the team's heartbeats; the chunk gate, when set, is consulted
 /// by the master around each team chunk (the whole team counts as one
-/// slot — the funneled model admits no finer grain).
+/// slot — the funneled model admits no finer grain). `cfg` has its
+/// run-scope fields resolved (resolve_run_config).
 [[nodiscard]] std::vector<WorkerStats> run_hybrid_rank(minimpi::Context& ctx,
                                                        int threads_per_node, std::int64_t n,
                                                        const HierConfig& cfg,

@@ -51,14 +51,14 @@ JobService::JobService(Config cfg) : cfg_(std::move(cfg)), governor_([&] {
     }
     return cfg_.shape.total_workers();
 }()) {
-    if (cfg_.max_active == 0) {
-        cfg_.max_active = max_jobs_from_env();
-    }
-    if (cfg_.max_active < 1) {
+    const EnvKnobs env = read_env(KnobScope::Service);
+    cfg_.max_active = cfg_.max_active.value_or(env.max_jobs);
+    cfg_.queue_depth = cfg_.queue_depth.value_or(env.job_queue_depth);
+    if (*cfg_.max_active < 1) {
         throw std::invalid_argument("JobService: max_active must be >= 1");
     }
-    if (cfg_.queue_depth < 0) {
-        cfg_.queue_depth = job_queue_depth_from_env();
+    if (*cfg_.queue_depth < 0) {
+        throw std::invalid_argument("JobService: queue_depth must be >= 0");
     }
     // The base config must be runnable as-is: a malformed default should
     // fail service construction, not the first submit that relies on it.
@@ -103,13 +103,13 @@ std::uint64_t JobService::submit(LoopJob job) {
         throw std::runtime_error("JobService::submit: service is shut down");
     }
     // Admission control: run now, queue, or push back on the caller.
-    if (running_ >= cfg_.max_active &&
-        static_cast<int>(pending_.size()) >= cfg_.queue_depth) {
+    if (running_ >= *cfg_.max_active &&
+        static_cast<int>(pending_.size()) >= *cfg_.queue_depth) {
         m.jobs_rejected->inc();
         throw minimpi::Error(minimpi::ErrorCode::Resource,
                              "JobService::submit: pending-job queue is full (" +
                                  std::to_string(pending_.size()) + "/" +
-                                 std::to_string(cfg_.queue_depth) +
+                                 std::to_string(*cfg_.queue_depth) +
                                  " queued, " + std::to_string(running_) +
                                  " running); retry later or raise HDLS_JOB_QUEUE_DEPTH");
     }
@@ -124,7 +124,7 @@ std::uint64_t JobService::submit(LoopJob job) {
 
 void JobService::launch_ready_locked() {
     const metrics::RuntimeMetrics& m = metrics::rt();
-    while (running_ < cfg_.max_active && !pending_.empty()) {
+    while (running_ < *cfg_.max_active && !pending_.empty()) {
         std::shared_ptr<JobState> state = pending_.front();
         pending_.erase(pending_.begin());
         m.jobs_pending->add(-1);

@@ -81,12 +81,14 @@ public:
         ClusterShape shape{};                    ///< the shared cluster
         Approach approach = Approach::MpiMpi;    ///< execution model for all jobs
         HierConfig base{};                       ///< default per-job scheduling config
-        /// Maximum jobs running concurrently. 0 = HDLS_MAX_JOBS (default 4).
-        int max_active = 0;
-        /// Bounded pending-queue depth; submit() past it throws
-        /// minimpi::Error{ErrorCode::Resource}. -1 = HDLS_JOB_QUEUE_DEPTH
-        /// (default 16). 0 = no queue (reject unless a run slot is free).
-        int queue_depth = -1;
+        /// Maximum jobs running concurrently (>= 1). Unset defers to
+        /// HDLS_MAX_JOBS (default 4).
+        std::optional<int> max_active;
+        /// Bounded pending-queue depth (>= 0); submit() past it throws
+        /// minimpi::Error{ErrorCode::Resource}. 0 = no queue (reject unless
+        /// a run slot is free). Unset defers to HDLS_JOB_QUEUE_DEPTH
+        /// (default 16).
+        std::optional<int> queue_depth;
         /// Trace every job into a private job-stamped session (per-job
         /// HierConfig overrides can also set trace individually).
         bool trace_jobs = false;

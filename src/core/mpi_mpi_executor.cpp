@@ -44,21 +44,21 @@ WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n, const HierCo
     // drain loop below. Both constructions are collective.
     std::unique_ptr<LeaseBoard> board;
     std::unique_ptr<minimpi::FailureDetector> detector;
-    if (cfg.lease) {
-        board = std::make_unique<LeaseBoard>(world, cfg.lease_k);
+    if (*cfg.lease) {
+        board = std::make_unique<LeaseBoard>(world, *cfg.lease_k);
         detector = std::make_unique<minimpi::FailureDetector>(
             world, std::chrono::duration_cast<std::chrono::nanoseconds>(
-                       cfg.heartbeat_timeout));
+                       *cfg.heartbeat_timeout));
         source.set_lease_board(board.get());
     }
     // Fault injection (HDLS_CHAOS="kill:<rank>@<pct>%"): this rank
     // fail-stops at the first chunk boundary past the progress trigger —
     // leases abandoned, heartbeat silenced, loop left. Boundary placement
     // means no refill announcement is ever left dangling.
-    const bool chaos_me =
-        cfg.chaos.enabled() && cfg.chaos.kill_rank == world.rank();
-    const auto kill_at = static_cast<std::int64_t>(
-        cfg.chaos.at_fraction * static_cast<double>(n));
+    const bool chaos_me = cfg.chaos && cfg.chaos->kill_rank == world.rank();
+    const auto kill_at =
+        chaos_me ? static_cast<std::int64_t>(cfg.chaos->at_fraction * static_cast<double>(n))
+                 : n;
     bool killed = false;
 
     WorkerStats stats;

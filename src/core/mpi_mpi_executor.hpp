@@ -23,7 +23,8 @@ namespace hdls::core {
 /// Executes the calling rank's share of the hierarchical loop [0, n)
 /// through the scheduling chain `rh` describes (any depth; the classic
 /// two-level run is the {nodes, cores} instance). Collective over
-/// ctx.world(); every rank must call it with identical arguments. Returns
+/// ctx.world(); every rank must call it with identical arguments; `cfg`
+/// has its run-scope fields resolved (resolve_run_config). Returns
 /// this rank's statistics (finish time is measured from the common
 /// post-setup barrier). A default-constructed (disabled) `tracer` records
 /// nothing and costs nothing; an enabled one records the rank's

@@ -136,51 +136,36 @@ ExecutionReport run_hierarchical(const ClusterShape& shape, Approach approach,
         throw std::invalid_argument("run_hierarchical: body must not be empty");
     }
 
-    // The minimpi substrate: an explicit HierConfig choice wins, otherwise
-    // HDLS_TRANSPORT (strict parse — resolved before any thread launches).
-    const minimpi::TransportKind transport =
-        cfg.transport ? *cfg.transport : transport_from_env();
-
-    // SIMD backend policy and thread placement, same precedence. set_mode
-    // throws here (before any thread launches) when Native is demanded on
-    // a scalar-only host.
-    const simd::SimdMode simd_mode = cfg.simd ? *cfg.simd : simd_mode_from_env();
-    simd::set_mode(simd_mode);
-    const minimpi::PinPolicy pin = cfg.pin ? *cfg.pin : pin_from_env();
-
-    // Executors see the resolved knobs (and, below, any probed weights).
-    HierConfig effective = cfg;
-    effective.simd = simd_mode;
-    effective.pin = pin;
-    // Lease-based fault tolerance + fault injection (strict parses, all
-    // resolved before any rank launches): an explicit HierConfig choice
-    // wins, otherwise the HDLS_LEASE / HDLS_LEASE_K /
-    // HDLS_HEARTBEAT_TIMEOUT_MS / HDLS_CHAOS environment.
-    effective.lease = cfg.lease || lease_from_env();
-    effective.lease_k = lease_k_from_env(cfg.lease_k);
-    effective.heartbeat_timeout = heartbeat_timeout_from_env(cfg.heartbeat_timeout);
-    effective.chaos = cfg.chaos.enabled() ? cfg.chaos : chaos_from_env();
-    if (effective.lease && approach != Approach::MpiMpi) {
+    // Run-scope knobs, resolved before any thread launches: a field the
+    // caller set wins, the environment fills the rest. Executors see the
+    // resolved config (and, below, any probed weights).
+    const EnvKnobs env = read_env(KnobScope::Run);
+    HierConfig effective = resolve_run_config(cfg, env);
+    const minimpi::TransportKind transport = *effective.transport;
+    const minimpi::PinPolicy pin = *effective.pin;
+    // Throws when Native is demanded on a scalar-only host.
+    simd::set_mode(*effective.simd);
+    if (*effective.lease && approach != Approach::MpiMpi) {
         util::log_warn(
             "run_hierarchical: lease-based fault tolerance is MPI+MPI only; "
             "ignoring HDLS_LEASE under MPI+OpenMP");
         effective.lease = false;
     }
-    if (effective.chaos.enabled()) {
+    if (effective.chaos) {
         if (approach != Approach::MpiMpi) {
             throw std::invalid_argument(
                 "run_hierarchical: HDLS_CHAOS fault injection requires the MPI+MPI "
                 "approach (the MPI+OpenMP baseline has no failure handling to drill)");
         }
-        if (!effective.lease) {
+        if (!*effective.lease) {
             throw std::invalid_argument(
                 "run_hierarchical: HDLS_CHAOS requires HDLS_LEASE=1 — killing a rank "
                 "without lease reclamation would silently lose iterations");
         }
-        if (effective.chaos.kill_rank >= shape.total_workers()) {
+        if (effective.chaos->kill_rank >= shape.total_workers()) {
             throw std::invalid_argument(
                 "run_hierarchical: HDLS_CHAOS kill rank " +
-                std::to_string(effective.chaos.kill_rank) + " is outside the world (" +
+                std::to_string(effective.chaos->kill_rank) + " is outside the world (" +
                 std::to_string(shape.total_workers()) + " ranks)");
         }
     }
@@ -215,7 +200,7 @@ ExecutionReport run_hierarchical(const ClusterShape& shape, Approach approach,
     // (no composed source to buffer in), so the knob is a no-op there.
     report.prefetch =
         cfg.prefetch && (approach == Approach::MpiMpi || rh.depth() > 2);
-    report.simd_mode = simd_mode;
+    report.simd_mode = *effective.simd;
     report.simd_backend = simd::active_backend();
     report.pin = pin;
     report.topology = rh.tree;
@@ -236,7 +221,7 @@ ExecutionReport run_hierarchical(const ClusterShape& shape, Approach approach,
 
     // Always-on metrics: the run's delta over the process-wide registry is
     // attached to the report below. HDLS_METRICS=1 (or the RunOptions
-    // override) additionally runs the background sampler (Prometheus
+    // field, which wins) additionally runs the background sampler (Prometheus
     // exposition file, HDLS_METRICS_FILE) and the stall watchdog for the
     // duration of the run, both on the HDLS_METRICS_PERIOD_MS cadence.
     // Concurrent runs are safe: each run owns its watchdog instance, beats
@@ -249,14 +234,13 @@ ExecutionReport run_hierarchical(const ClusterShape& shape, Approach approach,
     const metrics::Snapshot metrics_before = metrics::registry().snapshot();
     std::unique_ptr<metrics::MetricsSampler> sampler;
     std::unique_ptr<metrics::StallWatchdog> watchdog;
-    if (opts.metrics.value_or(metrics_from_env())) {
-        const std::chrono::milliseconds period = metrics_period_from_env();
-        sampler = std::make_unique<metrics::MetricsSampler>(metrics::registry(), period);
-        sampler->set_exposition_file(opts.metrics_file ? *opts.metrics_file
-                                                       : metrics_file_from_env());
+    if (opts.metrics.value_or(env.metrics)) {
+        sampler = std::make_unique<metrics::MetricsSampler>(metrics::registry(),
+                                                            env.metrics_period);
+        sampler->set_exposition_file(opts.metrics_file.value_or(env.metrics_file));
         sampler->start();
         watchdog = std::make_unique<metrics::StallWatchdog>(shape.total_workers());
-        watchdog->start(period);
+        watchdog->start(env.metrics_period);
     }
     const metrics::WatchdogInstallation watchdog_installation(watchdog.get());
     // A run without its own watchdog still beats an externally installed

@@ -29,9 +29,9 @@ struct RunOptions {
     /// Job id stamped on every trace event of this run (-1 = untagged);
     /// lets merge_job_traces build a multi-job timeline without rewriting.
     int job = -1;
-    /// Override HDLS_METRICS for this run (sampler + stall watchdog).
+    /// Sampler + stall watchdog for this run; unset defers to HDLS_METRICS.
     std::optional<bool> metrics;
-    /// Override HDLS_METRICS_FILE (only read when the sampler runs).
+    /// Exposition file of the sampler; unset defers to HDLS_METRICS_FILE.
     std::optional<std::string> metrics_file;
 };
 

@@ -56,14 +56,18 @@ struct ClusterShape {
 /// nothing to the loop from the kill point on. MPI+MPI only; see
 /// docs/fault-tolerance.md.
 struct ChaosSpec {
-    int kill_rank = -1;        ///< world rank to kill (-1 = no injection)
+    int kill_rank = 0;         ///< world rank to kill
     double at_fraction = 0.5;  ///< loop-progress trigger in [0, 1]
-
-    [[nodiscard]] bool enabled() const noexcept { return kill_rank >= 0; }
 };
 
 /// The scheduling combination "X + Y" of the paper: X at the inter-node
 /// level (over nodes), Y at the intra-node level (over a node's workers).
+///
+/// "Env:" names a field's HDLS_* knob (docs/knobs.md). The std::optional
+/// fields are run scope: left unset, run_hierarchical fills them from the
+/// knob, else the default (resolve_run_config). The knobs of the other
+/// fields reach them only through config_from_env, called by a program on
+/// its own config. Env (inter, intra, min_chunk, levels): HDLS_SCHEDULE.
 struct HierConfig {
     dls::Technique inter = dls::Technique::GSS;
     dls::Technique intra = dls::Technique::GSS;
@@ -91,7 +95,7 @@ struct HierConfig {
     /// Record the chunk-lifecycle event trace of the run (see src/trace/).
     /// When false (the default) the executors carry a disabled recorder and
     /// the run pays nothing; when true ExecutionReport::trace holds the
-    /// merged events.
+    /// merged events. Env: HDLS_TRACE.
     bool trace = false;
     /// Per-worker trace ring-buffer capacity in events (rounded up to a
     /// power of two). Overflow drops events and counts the drops.
@@ -122,16 +126,16 @@ struct HierConfig {
     /// level is always the shared local queue).
     std::vector<LevelConfig> levels;
     /// Communication substrate of the MPI+MPI runtime: in-process thread
-    /// mailboxes (Threads) or one POSIX shared-memory segment (Shm). Unset
-    /// defers to HDLS_TRANSPORT (default: threads). The chunk multiset a
-    /// HierConfig produces is transport-invariant. Ignored by MPI+OpenMP.
+    /// mailboxes (Threads) or one POSIX shared-memory segment (Shm). The
+    /// chunk multiset a HierConfig produces is transport-invariant. Ignored
+    /// by MPI+OpenMP. Env: HDLS_TRANSPORT (default threads).
     std::optional<minimpi::TransportKind> transport;
     /// SIMD backend policy of the batch kernels the loop body may dispatch
     /// through (simd::run_mandelbrot_batch & co): Auto picks the widest
     /// usable backend, ForceScalar pins the scalar reference kernels,
     /// Native demands a vector backend (set_mode throws otherwise). Every
     /// backend is bit-identical, so this knob changes speed, never results.
-    /// Unset defers to HDLS_SIMD (default: auto).
+    /// Env: HDLS_SIMD (default auto).
     std::optional<simd::SimdMode> simd;
     /// Lease-based fault tolerance (MPI+MPI): every chunk handed to a
     /// worker is leased on a shared lease board (owner + deadline = k x
@@ -140,23 +144,25 @@ struct HierConfig {
     /// re-executed by survivors, with a completion fence guaranteeing
     /// exactly-once commitment. Env: HDLS_LEASE. Off by default — the
     /// lease write/CAS per chunk is only worth paying when ranks can die.
-    bool lease = false;
+    std::optional<bool> lease;
     /// Lease-deadline multiplier: deadline = now + max(k x chunk-time EMA,
-    /// a 100 ms floor). Env: HDLS_LEASE_K.
-    double lease_k = 8.0;
+    /// a 100 ms floor). Env: HDLS_LEASE_K (default 8).
+    std::optional<double> lease_k;
     /// Failure-detector timeout: a rank whose heartbeat word has not moved
-    /// for this long is declared dead. Env: HDLS_HEARTBEAT_TIMEOUT_MS.
-    std::chrono::milliseconds heartbeat_timeout{1000};
-    /// Fault injection for chaos testing (HDLS_CHAOS); disabled unless
-    /// kill_rank >= 0. Requires lease mode to keep the run exactly-once.
-    ChaosSpec chaos;
+    /// for this long is declared dead. Env: HDLS_HEARTBEAT_TIMEOUT_MS
+    /// (default 1000 ms).
+    std::optional<std::chrono::milliseconds> heartbeat_timeout;
+    /// Fault injection for chaos testing (none when unset, also after
+    /// resolution). Requires lease mode to keep the run exactly-once.
+    /// Env: HDLS_CHAOS.
+    std::optional<ChaosSpec> chaos;
     /// Thread/rank placement over the host's sockets (minimpi::PinPolicy):
     /// Compact fills a socket before spilling, Scatter round-robins across
     /// sockets, None leaves placement to the OS. Under MPI+OpenMP the leaf
     /// ThreadTeams pin their members; under MPI+MPI (threads transport) the
     /// rank threads are pinned. When a WF run with empty node_weights is
     /// pinned, per-node weights are filled from measured per-CPU kernel
-    /// throughput (the honesty loop). Unset defers to HDLS_PIN (none).
+    /// throughput (the honesty loop). Env: HDLS_PIN (default none).
     std::optional<minimpi::PinPolicy> pin;
 };
 

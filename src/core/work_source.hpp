@@ -203,77 +203,16 @@ private:
             // GlobalAcquire probes are muted.
             const bool record_probe = tracing_ && wait_start_ < 0.0;
             // Stage 2 first: the level queue may already hold sub-chunks.
-            double pop_t0 = 0.0;
-            double lock_wait = 0.0;
-            if (tracing_) {
-                pop_t0 = tracer_.now();
-            }
-            if (const auto sub = local_.try_pop(tracing_ ? &lock_wait : nullptr)) {
-                m_pops_->inc();
-                if (tracing_) {
-                    close_wait(pop_t0);
-                    // Every pop epoch is a LocalPop at this level; a pop
-                    // that carved a sibling's shard (sharded relay) keeps
-                    // its `stolen` flag on the returned chunk, and the
-                    // *puller* one level down records it as the level's
-                    // Steal — one acquire-side event per transfer.
-                    tracer_.record(trace::EventKind::LocalPop, pop_t0, tracer_.now(),
-                                   sub->begin, sub->end, lock_wait, level_);
-                }
-                return as_chunk(*sub);
-            }
-            if (record_probe) {
-                tracer_.record(trace::EventKind::LocalPop, pop_t0, tracer_.now(), -1, -1,
-                               lock_wait, level_);
+            if (auto chunk = pop_local(tracing_ ? tracer_.now() : 0.0, record_probe)) {
+                return chunk;
             }
             // Queue drained: this rank happens to be the fastest — refill.
-            local_.begin_refill();
-            if (record_probe) {
-                tracer_.instant(trace::EventKind::RefillBegin, tracer_.now(), 0, 0, level_);
-            }
-            if (before_refill_) {
-                before_refill_();
-            }
-            const double acq_t0 = tracing_ ? tracer_.now() : 0.0;
-            const auto par_t0 = std::chrono::steady_clock::now();
-            if (const auto chunk = parent_.try_acquire()) {
-                observe_parent_acquire(*chunk, par_t0);
-                if (tracing_) {
-                    close_wait(acq_t0);
-                    tracer_.record(chunk->stolen ? trace::EventKind::Steal
-                                                 : trace::EventKind::GlobalAcquire,
-                                   acq_t0, tracer_.now(), chunk->start, chunk->size, 0.0,
-                                   level_ - 1);
-                }
-                ++refills_;
-                m_refills_->inc();
-                double push_t0 = 0.0;
-                double push_wait = 0.0;
-                if (tracing_) {
-                    push_t0 = tracer_.now();
-                }
-                const auto sub = local_.push_and_pop(chunk->start, chunk->size,
-                                                     tracing_ ? &push_wait : nullptr);
-                if (tracing_) {
-                    tracer_.record(trace::EventKind::LocalPop, push_t0, tracer_.now(),
-                                   sub ? sub->begin : -1, sub ? sub->end : -1, push_wait,
-                                   level_);
-                    tracer_.instant(trace::EventKind::RefillEnd, tracer_.now(), chunk->start,
-                                    chunk->size, level_);
-                }
-                if (sub) {
-                    m_pops_->inc();
-                    return as_chunk(*sub);
+            if (const Refill refill = refill_from_parent(/*async=*/false);
+                refill.parent_had_work) {
+                if (refill.chunk) {
+                    return refill.chunk;
                 }
                 continue;
-            }
-            if (record_probe) {
-                tracer_.record(trace::EventKind::GlobalAcquire, acq_t0, tracer_.now(), 0, 0,
-                               0.0, level_ - 1);
-            }
-            local_.end_refill();
-            if (record_probe) {
-                tracer_.instant(trace::EventKind::RefillEnd, tracer_.now(), 0, 0, level_);
             }
             // Parent exhausted. Terminate only when no peer is mid-refill
             // and nothing is left to pop, otherwise work could still appear.
@@ -304,26 +243,64 @@ private:
     /// exactly the synchronous run's.
     void fill_slot() {
         const double fill_t0 = tracing_ ? tracer_.now() : 0.0;
+        slot_ = pop_local(fill_t0, /*record_empty=*/false);
+        // An adaptive root's refill must follow the flush.
+        if (!slot_ && !parent_.wants_feedback()) {
+            slot_ = refill_from_parent(/*async=*/true).chunk;
+        }
+        if (slot_ && tracing_) {
+            slot_fill_seconds_ = tracer_.now() - fill_t0;
+        }
+    }
+
+    /// Pops this level's queue, tracing a pop as a LocalPop that started
+    /// at `t0` (an empty one too when `record_empty`). Every pop epoch is a
+    /// LocalPop at this level; a pop that carved a sibling's shard (sharded
+    /// relay) keeps its `stolen` flag on the returned chunk, and the
+    /// *puller* one level down records it as the level's Steal — one
+    /// acquire-side event per transfer.
+    [[nodiscard]] std::optional<Chunk> pop_local(double t0, bool record_empty) {
         double lock_wait = 0.0;
-        if (const auto sub = local_.try_pop(tracing_ ? &lock_wait : nullptr)) {
-            m_pops_->inc();
-            if (tracing_) {
-                tracer_.record(trace::EventKind::LocalPop, fill_t0, tracer_.now(), sub->begin,
-                               sub->end, lock_wait, level_);
-                slot_fill_seconds_ = tracer_.now() - fill_t0;
+        const auto sub = local_.try_pop(tracing_ ? &lock_wait : nullptr);
+        if (!sub) {
+            if (record_empty) {
+                tracer_.record(trace::EventKind::LocalPop, t0, tracer_.now(), -1, -1, lock_wait,
+                               level_);
             }
-            slot_ = as_chunk(*sub);
-            return;
+            return std::nullopt;
         }
-        if (parent_.wants_feedback()) {
-            return;  // adaptive root: the refill must follow the flush
-        }
-        // The announcement flies as a nonblocking op while the refill's
-        // bookkeeping (trace marker, pre-acquire callback) runs; it must
-        // only have *landed* before the parent is touched, per the
-        // termination protocol's announce-before-parent ordering.
-        auto announce = local_.begin_refill_async();
+        m_pops_->inc();
         if (tracing_) {
+            close_wait(t0);
+            tracer_.record(trace::EventKind::LocalPop, t0, tracer_.now(), sub->begin, sub->end,
+                           lock_wait, level_);
+        }
+        return as_chunk(*sub);
+    }
+
+    struct Refill {
+        bool parent_had_work = false;
+        std::optional<Chunk> chunk;  ///< empty when peers drained the refill first
+    };
+
+    /// The refill transaction shared by both paths: announce the refill
+    /// in flight, acquire a parent chunk, push it into this level's queue
+    /// and pop this rank's first sub-chunk; an exhausted parent withdraws
+    /// the announcement instead. The `async` (prefetch) announcement flies
+    /// as a nonblocking op while the trace marker and pre-acquire callback
+    /// run; it must only have *landed* before the parent is touched, per
+    /// the termination protocol's announce-before-parent ordering. While
+    /// the termination wait is open only a successful acquire is traced
+    /// (it closes the wait); the empty probes are muted.
+    [[nodiscard]] Refill refill_from_parent(bool async) {
+        const bool record_probe = tracing_ && wait_start_ < 0.0;
+        minimpi::AtomicUpdateRequest<std::int64_t> announce;
+        if (async) {
+            announce = local_.begin_refill_async();
+        } else {
+            local_.begin_refill();
+        }
+        if (record_probe) {
             tracer_.instant(trace::EventKind::RefillBegin, tracer_.now(), 0, 0, level_);
         }
         if (before_refill_) {
@@ -332,44 +309,42 @@ private:
         (void)announce.wait();
         const double acq_t0 = tracing_ ? tracer_.now() : 0.0;
         const auto par_t0 = std::chrono::steady_clock::now();
-        if (const auto chunk = parent_.try_acquire()) {
-            observe_parent_acquire(*chunk, par_t0);
-            if (tracing_) {
-                tracer_.record(chunk->stolen ? trace::EventKind::Steal
-                                             : trace::EventKind::GlobalAcquire,
-                               acq_t0, tracer_.now(), chunk->start, chunk->size, 0.0,
-                               level_ - 1);
+        const auto chunk = parent_.try_acquire();
+        if (!chunk) {
+            if (record_probe) {
+                tracer_.record(trace::EventKind::GlobalAcquire, acq_t0, tracer_.now(), 0, 0,
+                               0.0, level_ - 1);
             }
-            ++refills_;
-            m_refills_->inc();
-            double push_t0 = 0.0;
-            double push_wait = 0.0;
-            if (tracing_) {
-                push_t0 = tracer_.now();
+            local_.end_refill();
+            if (record_probe) {
+                tracer_.instant(trace::EventKind::RefillEnd, tracer_.now(), 0, 0, level_);
             }
-            const auto sub = local_.push_and_pop(chunk->start, chunk->size,
-                                                 tracing_ ? &push_wait : nullptr);
-            if (tracing_) {
-                tracer_.record(trace::EventKind::LocalPop, push_t0, tracer_.now(),
-                               sub ? sub->begin : -1, sub ? sub->end : -1, push_wait, level_);
-                tracer_.instant(trace::EventKind::RefillEnd, tracer_.now(), chunk->start,
-                                chunk->size, level_);
-                slot_fill_seconds_ = tracer_.now() - fill_t0;
-            }
-            if (sub) {
-                m_pops_->inc();
-                slot_ = as_chunk(*sub);
-            }
-            return;
+            return {};
         }
+        observe_parent_acquire(*chunk, par_t0);
         if (tracing_) {
-            tracer_.record(trace::EventKind::GlobalAcquire, acq_t0, tracer_.now(), 0, 0, 0.0,
-                           level_ - 1);
+            close_wait(acq_t0);
+            tracer_.record(chunk->stolen ? trace::EventKind::Steal
+                                         : trace::EventKind::GlobalAcquire,
+                           acq_t0, tracer_.now(), chunk->start, chunk->size, 0.0, level_ - 1);
         }
-        local_.end_refill();
+        ++refills_;
+        m_refills_->inc();
+        const double push_t0 = tracing_ ? tracer_.now() : 0.0;
+        double push_wait = 0.0;
+        const auto sub =
+            local_.push_and_pop(chunk->start, chunk->size, tracing_ ? &push_wait : nullptr);
         if (tracing_) {
-            tracer_.instant(trace::EventKind::RefillEnd, tracer_.now(), 0, 0, level_);
+            tracer_.record(trace::EventKind::LocalPop, push_t0, tracer_.now(),
+                           sub ? sub->begin : -1, sub ? sub->end : -1, push_wait, level_);
+            tracer_.instant(trace::EventKind::RefillEnd, tracer_.now(), chunk->start,
+                            chunk->size, level_);
         }
+        if (!sub) {
+            return {true, std::nullopt};
+        }
+        m_pops_->inc();
+        return {true, as_chunk(*sub)};
     }
 
 public:

@@ -1,13 +1,14 @@
 #include "dls/sharding.hpp"
 
 #include <algorithm>
-#include <cctype>
+#include <array>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 
 #include "dls/adaptive.hpp"
 #include "dls/chunk_formulas.hpp"
+#include "util/parse.hpp"
 
 namespace hdls::dls {
 
@@ -22,18 +23,14 @@ std::string_view inter_backend_name(InterBackend b) noexcept {
 }
 
 std::optional<InterBackend> inter_backend_from_string(std::string_view name) noexcept {
-    std::string lower;
-    lower.reserve(name.size());
-    for (const char ch : name) {
-        lower.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(ch))));
-    }
-    if (lower == "centralized" || lower == "central") {
+    if (util::iequals(name, "central")) {
         return InterBackend::Centralized;
     }
-    if (lower == "sharded" || lower == "shard") {
+    if (util::iequals(name, "shard")) {
         return InterBackend::Sharded;
     }
-    return std::nullopt;
+    return util::from_name(name, std::array{InterBackend::Centralized, InterBackend::Sharded},
+                           inter_backend_name);
 }
 
 bool supports_sharded(Technique t) noexcept {

@@ -1,7 +1,8 @@
 #include "dls/technique.hpp"
 
-#include <algorithm>
-#include <cctype>
+#include <string>
+
+#include "util/parse.hpp"
 
 namespace hdls::dls {
 
@@ -40,26 +41,12 @@ std::string_view technique_name(Technique t) noexcept {
 }
 
 std::optional<Technique> technique_from_string(std::string_view name) noexcept {
-    std::string upper(name);
-    std::transform(upper.begin(), upper.end(), upper.begin(),
-                   [](unsigned char c) { return static_cast<char>(std::toupper(c)); });
-    for (const Technique t : all_techniques()) {
-        if (upper == technique_name(t)) {
-            return t;
-        }
+    if (const auto t = util::from_name(name, all_techniques(), technique_name)) {
+        return t;
     }
     // Accept the dash-less spellings too ("AWFB" for "AWF-B").
-    if (upper == "AWFB") {
-        return Technique::AWFB;
-    }
-    if (upper == "AWFC") {
-        return Technique::AWFC;
-    }
-    if (upper == "AWFD") {
-        return Technique::AWFD;
-    }
-    if (upper == "AWFE") {
-        return Technique::AWFE;
+    if (name.size() == 4 && util::iequals(name.substr(0, 3), "AWF")) {
+        return technique_from_string("AWF-" + std::string(name.substr(3)));
     }
     return std::nullopt;
 }

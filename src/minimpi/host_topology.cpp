@@ -1,6 +1,7 @@
 #include "minimpi/host_topology.hpp"
 
 #include <algorithm>
+#include <array>
 #include <fstream>
 #include <map>
 #include <string>
@@ -10,6 +11,8 @@
 #include <pthread.h>
 #include <sched.h>
 #endif
+
+#include "util/parse.hpp"
 
 namespace minimpi {
 
@@ -26,16 +29,9 @@ std::string_view pin_policy_name(PinPolicy p) noexcept {
 }
 
 std::optional<PinPolicy> pin_policy_from_string(std::string_view name) noexcept {
-    if (name == "none") {
-        return PinPolicy::None;
-    }
-    if (name == "compact") {
-        return PinPolicy::Compact;
-    }
-    if (name == "scatter") {
-        return PinPolicy::Scatter;
-    }
-    return std::nullopt;
+    return hdls::util::from_name(
+        name, std::array{PinPolicy::None, PinPolicy::Compact, PinPolicy::Scatter},
+        pin_policy_name);
 }
 
 HostTopology HostTopology::detect() {

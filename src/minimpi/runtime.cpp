@@ -7,6 +7,8 @@
 #include <thread>
 #include <vector>
 
+#include "core/env_config.hpp"
+
 namespace minimpi {
 
 namespace {
@@ -27,7 +29,7 @@ constexpr std::uint64_t kWorldCommId = 1;
 
 void Runtime::run(int world_size, const Topology& topology,
                   const std::function<void(Context&)>& fn) {
-    run(world_size, topology, transport_from_env(), fn);
+    run(world_size, topology, hdls::core::read_env(hdls::core::KnobScope::Run).transport, fn);
 }
 
 void Runtime::run(int world_size, const Topology& topology, TransportKind transport,

@@ -48,9 +48,9 @@ public:
     /// (blocking calls fail with ErrorCode::Aborted) and rethrows the first
     /// *primary* exception in the caller's thread.
     ///
-    /// The communication substrate is chosen by HDLS_TRANSPORT (default:
-    /// threads); a malformed value throws std::invalid_argument before any
-    /// rank is launched.
+    /// The communication substrate is chosen by the HDLS_TRANSPORT knob
+    /// (core::read_env; default: threads); a malformed value throws
+    /// std::invalid_argument before any rank is launched.
     static void run(int world_size, const Topology& topology,
                     const std::function<void(Context&)>& fn);
 

@@ -1,35 +1,19 @@
 /// \file transport.cpp
-/// Transport selection: the HDLS_TRANSPORT knob and the factory.
+/// Transport selection: names and the factory.
 
 #include "minimpi/transport.hpp"
 
-#include <cctype>
-#include <cstdlib>
-#include <stdexcept>
-#include <string>
+#include <array>
 
 #include "minimpi/transport_shm.hpp"
 #include "minimpi/transport_threads.hpp"
+#include "util/parse.hpp"
 
 namespace minimpi {
 
-TransportKind transport_from_env(TransportKind fallback) {
-    const char* raw = std::getenv("HDLS_TRANSPORT");
-    if (raw == nullptr || *raw == '\0') {
-        return fallback;
-    }
-    std::string value(raw);
-    for (char& c : value) {
-        c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    }
-    if (value == "threads") {
-        return TransportKind::Threads;
-    }
-    if (value == "shm") {
-        return TransportKind::Shm;
-    }
-    throw std::invalid_argument(std::string("HDLS_TRANSPORT='") + raw +
-                                "' is not a transport (expected 'threads' or 'shm')");
+std::optional<TransportKind> transport_from_string(std::string_view name) noexcept {
+    return hdls::util::from_name(name, std::array{TransportKind::Threads, TransportKind::Shm},
+                                 transport_name);
 }
 
 namespace detail {

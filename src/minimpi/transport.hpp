@@ -3,8 +3,8 @@
 /// Pluggable communication substrate of the minimpi runtime.
 ///
 /// Runtime/Comm/Window are written against this seam; which machinery
-/// actually carries the bytes is a launch-time choice (HDLS_TRANSPORT or
-/// an explicit Runtime::run overload):
+/// actually carries the bytes is a launch-time choice (the HDLS_TRANSPORT
+/// knob or an explicit Runtime::run overload):
 ///
 ///  * TransportKind::Threads — the historical in-process substrate: heap
 ///    mailboxes guarded by mutex+condvar, window segments in an aligned
@@ -30,6 +30,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <string_view>
 
 #include "minimpi/mailbox.hpp"
 #include "minimpi/types.hpp"
@@ -52,11 +54,8 @@ enum class TransportKind {
     return "?";
 }
 
-/// Reads HDLS_TRANSPORT ("threads" | "shm", case-insensitive). Returns
-/// `fallback` when unset; throws a one-line std::invalid_argument on any
-/// other value (a typo silently reverting to the thread substrate would
-/// change what a run exercises).
-[[nodiscard]] TransportKind transport_from_env(TransportKind fallback = TransportKind::Threads);
+/// Parses a canonical name ("threads" | "shm"); std::nullopt if unknown.
+[[nodiscard]] std::optional<TransportKind> transport_from_string(std::string_view name) noexcept;
 
 namespace detail {
 

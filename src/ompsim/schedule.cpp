@@ -1,8 +1,8 @@
 #include "ompsim/schedule.hpp"
 
-#include <algorithm>
-#include <cctype>
-#include <string>
+#include <array>
+
+#include "util/parse.hpp"
 
 namespace hdls::ompsim {
 
@@ -25,16 +25,10 @@ std::string_view schedule_name(Schedule s) noexcept {
 }
 
 std::optional<Schedule> schedule_from_string(std::string_view name) noexcept {
-    std::string lower(name);
-    std::transform(lower.begin(), lower.end(), lower.begin(),
-                   [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-    for (const Schedule s : {Schedule::Static, Schedule::StaticChunk, Schedule::Dynamic,
-                             Schedule::Guided, Schedule::Tss, Schedule::Fac2}) {
-        if (lower == schedule_name(s)) {
-            return s;
-        }
-    }
-    return std::nullopt;
+    return util::from_name(name,
+                           std::array{Schedule::Static, Schedule::StaticChunk, Schedule::Dynamic,
+                                      Schedule::Guided, Schedule::Tss, Schedule::Fac2},
+                           schedule_name);
 }
 
 std::optional<ForOptions> openmp_equivalent(dls::Technique t) noexcept {

@@ -15,6 +15,7 @@
 #endif
 
 #include "metrics/metrics.hpp"
+#include "util/parse.hpp"
 
 namespace hdls::simd {
 
@@ -204,6 +205,11 @@ std::string_view mode_name(SimdMode m) noexcept {
             return "native";
     }
     return "?";
+}
+
+std::optional<SimdMode> mode_from_string(std::string_view name) noexcept {
+    return util::from_name(
+        name, std::array{SimdMode::Auto, SimdMode::ForceScalar, SimdMode::Native}, mode_name);
 }
 
 bool backend_compiled(Backend b) noexcept { return table_of(b) != nullptr; }

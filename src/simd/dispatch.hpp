@@ -21,6 +21,7 @@
 /// by backend), so exposition shows which backend actually executed.
 
 #include <cstdint>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -42,6 +43,8 @@ enum class SimdMode {
 
 [[nodiscard]] std::string_view backend_name(Backend b) noexcept;
 [[nodiscard]] std::string_view mode_name(SimdMode m) noexcept;
+/// Parses a mode name ("auto" | "scalar" | "native"); std::nullopt if unknown.
+[[nodiscard]] std::optional<SimdMode> mode_from_string(std::string_view name) noexcept;
 
 /// One backend's kernel entry points (function pointers into its TU).
 struct KernelTable {

@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/parse.hpp"
+
 namespace hdls::util {
 
 ArgParser::ArgParser(std::string program, std::string description)
@@ -55,34 +57,18 @@ void ArgParser::set_value(const std::string& name, const std::string& value) {
     }
     Option& opt = it->second;
     switch (opt.kind) {
-        case Kind::Int: {
-            std::size_t pos = 0;
-            try {
-                (void)std::stoll(value, &pos);
-            } catch (const std::exception&) {
-                throw std::invalid_argument("ArgParser: --" + name + " expects an integer, got '" +
-                                            value + "'");
-            }
-            if (pos != value.size()) {
+        case Kind::Int:
+            if (!parse_integer<std::int64_t>(value)) {
                 throw std::invalid_argument("ArgParser: --" + name + " expects an integer, got '" +
                                             value + "'");
             }
             break;
-        }
-        case Kind::Double: {
-            std::size_t pos = 0;
-            try {
-                (void)std::stod(value, &pos);
-            } catch (const std::exception&) {
-                throw std::invalid_argument("ArgParser: --" + name + " expects a number, got '" +
-                                            value + "'");
-            }
-            if (pos != value.size()) {
+        case Kind::Double:
+            if (!parse_number(value)) {
                 throw std::invalid_argument("ArgParser: --" + name + " expects a number, got '" +
                                             value + "'");
             }
             break;
-        }
         case Kind::Flag:
         case Kind::String:
             break;
@@ -148,11 +134,11 @@ bool ArgParser::get_flag(const std::string& name) const {
 }
 
 std::int64_t ArgParser::get_int(const std::string& name) const {
-    return std::stoll(find(name, Kind::Int).value);
+    return *parse_integer<std::int64_t>(find(name, Kind::Int).value);
 }
 
 double ArgParser::get_double(const std::string& name) const {
-    return std::stod(find(name, Kind::Double).value);
+    return *parse_number(find(name, Kind::Double).value);
 }
 
 std::string ArgParser::get_string(const std::string& name) const {

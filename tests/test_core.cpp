@@ -609,104 +609,6 @@ TEST(EnvConfigTest, TopologyParsingRejectsMalformedSpecsWithClearErrors) {
     EXPECT_NE(message_of("racks=-3").find(">= 1"), std::string::npos);
 }
 
-TEST(EnvConfigTest, TopologyEnvThrowsInsteadOfSilentlyFallingBack) {
-    ::setenv("HDLS_TOPOLOGY", "nodes=2,cores=4", 1);
-    const auto tree = topology_from_env();
-    ASSERT_EQ(tree.size(), 2u);
-    EXPECT_EQ(tree[1].fan_out, 4);
-    ::setenv("HDLS_TOPOLOGY", "garbage", 1);
-    EXPECT_THROW((void)topology_from_env(), std::invalid_argument);
-    ::unsetenv("HDLS_TOPOLOGY");
-    EXPECT_TRUE(topology_from_env().empty());
-}
-
-TEST(EnvConfigTest, InterBackendEnvThrowsOnUnknownValues) {
-    ::setenv("HDLS_INTER_BACKEND", "hexagonal", 1);
-    EXPECT_THROW((void)inter_backend_from_env(), std::invalid_argument);
-    ::unsetenv("HDLS_INTER_BACKEND");
-    EXPECT_EQ(inter_backend_from_env(), hdls::dls::InterBackend::Centralized);
-}
-
-TEST(EnvConfigTest, TransportEnvThrowsOnUnknownValues) {
-    ::setenv("HDLS_TRANSPORT", "shm", 1);
-    EXPECT_EQ(transport_from_env(), minimpi::TransportKind::Shm);
-    ::setenv("HDLS_TRANSPORT", "Threads", 1);
-    EXPECT_EQ(transport_from_env(), minimpi::TransportKind::Threads);
-    ::setenv("HDLS_TRANSPORT", "openmpi", 1);
-    EXPECT_THROW((void)transport_from_env(), std::invalid_argument);
-    ::unsetenv("HDLS_TRANSPORT");
-    EXPECT_EQ(transport_from_env(), minimpi::TransportKind::Threads);
-    EXPECT_EQ(hdls::core::transport_from_env(minimpi::TransportKind::Shm),
-              minimpi::TransportKind::Shm);
-}
-
-TEST(EnvConfigTest, SimdEnvThrowsOnUnknownPolicies) {
-    ::setenv("HDLS_SIMD", " Auto ", 1);
-    EXPECT_EQ(simd_mode_from_env(), hdls::simd::SimdMode::Auto);
-    ::setenv("HDLS_SIMD", "scalar", 1);
-    EXPECT_EQ(simd_mode_from_env(), hdls::simd::SimdMode::ForceScalar);
-    ::setenv("HDLS_SIMD", "NATIVE", 1);
-    EXPECT_EQ(simd_mode_from_env(), hdls::simd::SimdMode::Native);
-    for (const char* bad : {"avx512", "vector", "", "on"}) {
-        ::setenv("HDLS_SIMD", bad, 1);
-        EXPECT_THROW((void)simd_mode_from_env(), std::invalid_argument) << bad;
-    }
-    ::unsetenv("HDLS_SIMD");
-    EXPECT_EQ(simd_mode_from_env(), hdls::simd::SimdMode::Auto);
-    EXPECT_EQ(simd_mode_from_env(hdls::simd::SimdMode::Native),
-              hdls::simd::SimdMode::Native);
-}
-
-TEST(EnvConfigTest, PinEnvThrowsOnUnknownPolicies) {
-    ::setenv("HDLS_PIN", " Compact ", 1);
-    EXPECT_EQ(pin_from_env(), minimpi::PinPolicy::Compact);
-    ::setenv("HDLS_PIN", "SCATTER", 1);
-    EXPECT_EQ(pin_from_env(), minimpi::PinPolicy::Scatter);
-    ::setenv("HDLS_PIN", "none", 1);
-    EXPECT_EQ(pin_from_env(minimpi::PinPolicy::Compact), minimpi::PinPolicy::None);
-    for (const char* bad : {"numa", "cores", "", "1"}) {
-        ::setenv("HDLS_PIN", bad, 1);
-        EXPECT_THROW((void)pin_from_env(), std::invalid_argument) << bad;
-    }
-    ::unsetenv("HDLS_PIN");
-    EXPECT_EQ(pin_from_env(), minimpi::PinPolicy::None);
-    EXPECT_EQ(pin_from_env(minimpi::PinPolicy::Scatter), minimpi::PinPolicy::Scatter);
-}
-
-TEST(EnvConfigTest, MetricsEnvThrowsOnNonBooleanValues) {
-    ::setenv("HDLS_METRICS", "1", 1);
-    EXPECT_TRUE(metrics_from_env());
-    ::setenv("HDLS_METRICS", "off", 1);
-    EXPECT_FALSE(metrics_from_env(true));
-    ::setenv("HDLS_METRICS", "sometimes", 1);
-    EXPECT_THROW((void)metrics_from_env(), std::invalid_argument);
-    ::unsetenv("HDLS_METRICS");
-    EXPECT_FALSE(metrics_from_env());
-    EXPECT_TRUE(metrics_from_env(true));
-}
-
-TEST(EnvConfigTest, MetricsPeriodEnvThrowsOnNonPositiveValues) {
-    ::setenv("HDLS_METRICS_PERIOD_MS", " 250 ", 1);
-    EXPECT_EQ(metrics_period_from_env(), std::chrono::milliseconds(250));
-    for (const char* bad : {"0", "-5", "fast", "100x", ""}) {
-        ::setenv("HDLS_METRICS_PERIOD_MS", bad, 1);
-        EXPECT_THROW((void)metrics_period_from_env(), std::invalid_argument) << bad;
-    }
-    ::unsetenv("HDLS_METRICS_PERIOD_MS");
-    EXPECT_EQ(metrics_period_from_env(), std::chrono::milliseconds(100));
-    EXPECT_EQ(metrics_period_from_env(std::chrono::milliseconds(7)),
-              std::chrono::milliseconds(7));
-}
-
-TEST(EnvConfigTest, MetricsFileEnvThrowsOnEmptyPath) {
-    ::setenv("HDLS_METRICS_FILE", "/tmp/custom.prom", 1);
-    EXPECT_EQ(metrics_file_from_env(), "/tmp/custom.prom");
-    ::setenv("HDLS_METRICS_FILE", "", 1);
-    EXPECT_THROW((void)metrics_file_from_env(), std::invalid_argument);
-    ::unsetenv("HDLS_METRICS_FILE");
-    EXPECT_EQ(metrics_file_from_env(), "hdls-metrics.prom");
-}
-
 TEST(EnvConfigTest, MultiLevelSchedulesParseAndRoundTrip) {
     const auto cfg = parse_schedule("fac2+gss+ss,min_chunk=2");
     ASSERT_TRUE(cfg.has_value());

@@ -161,54 +161,12 @@ TEST(EnvConfigTest, ParseApproach) {
     EXPECT_EQ(hdls::core::parse_approach("pvm"), std::nullopt);
 }
 
-TEST(EnvConfigTest, EnvironmentOverridesAndFallbacks) {
-    hdls::core::HierConfig fallback;
-    fallback.inter = Technique::Static;
-    fallback.intra = Technique::Static;
-
-    ::setenv("HDLS_SCHEDULE", "GSS+SS,min_chunk=2", 1);
-    const auto cfg = hdls::core::schedule_from_env(fallback);
-    EXPECT_EQ(cfg.inter, Technique::GSS);
-    EXPECT_EQ(cfg.intra, Technique::SS);
-    EXPECT_EQ(cfg.min_chunk, 2);
-
-    // The env var overrides only the schedule: non-schedule configuration
-    // (tracing, WF node weights, FAC inputs, ...) must survive the merge.
-    fallback.trace = true;
-    fallback.node_weights = {2.0, 1.0};
-    fallback.fac_sigma = 0.5;
-    ::setenv("HDLS_SCHEDULE", "WF+GSS", 1);
-    const auto kept = hdls::core::schedule_from_env(fallback);
-    EXPECT_EQ(kept.inter, Technique::WF);
-    EXPECT_TRUE(kept.trace);
-    EXPECT_EQ(kept.node_weights, (std::vector<double>{2.0, 1.0}));
-    EXPECT_EQ(kept.fac_sigma, 0.5);
-    fallback.trace = false;
-    fallback.node_weights.clear();
-    fallback.fac_sigma = 0.0;
-
-    ::setenv("HDLS_SCHEDULE", "garbage", 1);
-    const auto bad = hdls::core::schedule_from_env(fallback);
-    EXPECT_EQ(bad.inter, Technique::Static);
-
-    ::unsetenv("HDLS_SCHEDULE");
-    const auto unset = hdls::core::schedule_from_env(fallback);
-    EXPECT_EQ(unset.intra, Technique::Static);
-
-    ::setenv("HDLS_APPROACH", "MPI+OpenMP", 1);
-    EXPECT_EQ(hdls::core::approach_from_env(), hdls::core::Approach::MpiOpenMp);
-    ::setenv("HDLS_APPROACH", "bogus", 1);
-    EXPECT_EQ(hdls::core::approach_from_env(hdls::core::Approach::MpiMpi),
-              hdls::core::Approach::MpiMpi);
-    ::unsetenv("HDLS_APPROACH");
-}
-
 TEST(EnvConfigTest, EnvSelectedScheduleRunsEndToEnd) {
     ::setenv("HDLS_SCHEDULE", "FAC2+GSS", 1);
-    const auto cfg = hdls::core::schedule_from_env();
+    const auto cfg = hdls::core::config_from_env(hdls::core::HierConfig{});
     std::atomic<std::int64_t> count{0};
     const auto report = hdls::parallel_for(
-        hdls::core::ClusterShape{2, 2}, hdls::core::approach_from_env(), cfg, 500,
+        hdls::core::ClusterShape{2, 2}, hdls::core::Approach::MpiMpi, cfg, 500,
         [&](std::int64_t b, std::int64_t e) { count.fetch_add(e - b); });
     EXPECT_EQ(count.load(), 500);
     EXPECT_EQ(report.inter, Technique::FAC2);

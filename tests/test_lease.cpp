@@ -395,41 +395,6 @@ TEST(LeaseEnvTest, ParseChaosRejectsMalformedSpecs) {
     EXPECT_THROW((void)hdls::core::parse_chaos("die:1@50%"), std::invalid_argument);
 }
 
-TEST(LeaseEnvTest, StrictKnobsThrowOnGarbageAndFallBackWhenUnset) {
-    ::unsetenv("HDLS_LEASE");
-    EXPECT_FALSE(hdls::core::lease_from_env());
-    EXPECT_TRUE(hdls::core::lease_from_env(true));
-    ::setenv("HDLS_LEASE", "on", 1);
-    EXPECT_TRUE(hdls::core::lease_from_env());
-    ::setenv("HDLS_LEASE", "0", 1);
-    EXPECT_FALSE(hdls::core::lease_from_env(true));
-    ::setenv("HDLS_LEASE", "maybe", 1);
-    EXPECT_THROW((void)hdls::core::lease_from_env(), std::invalid_argument);
-    ::unsetenv("HDLS_LEASE");
-
-    ::setenv("HDLS_LEASE_K", "2.5", 1);
-    EXPECT_DOUBLE_EQ(hdls::core::lease_k_from_env(), 2.5);
-    ::setenv("HDLS_LEASE_K", "-1", 1);
-    EXPECT_THROW((void)hdls::core::lease_k_from_env(), std::invalid_argument);
-    ::unsetenv("HDLS_LEASE_K");
-    EXPECT_DOUBLE_EQ(hdls::core::lease_k_from_env(8.0), 8.0);
-
-    ::setenv("HDLS_HEARTBEAT_TIMEOUT_MS", "250", 1);
-    EXPECT_EQ(hdls::core::heartbeat_timeout_from_env(), std::chrono::milliseconds(250));
-    ::setenv("HDLS_HEARTBEAT_TIMEOUT_MS", "0", 1);
-    EXPECT_THROW((void)hdls::core::heartbeat_timeout_from_env(), std::invalid_argument);
-    ::unsetenv("HDLS_HEARTBEAT_TIMEOUT_MS");
-
-    ::setenv("HDLS_CHAOS", "kill:2@75%", 1);
-    const ChaosSpec spec = hdls::core::chaos_from_env();
-    EXPECT_EQ(spec.kill_rank, 2);
-    EXPECT_DOUBLE_EQ(spec.at_fraction, 0.75);
-    ::setenv("HDLS_CHAOS", "garbage", 1);
-    EXPECT_THROW((void)hdls::core::chaos_from_env(), std::invalid_argument);
-    ::unsetenv("HDLS_CHAOS");
-    EXPECT_FALSE(hdls::core::chaos_from_env().enabled());
-}
-
 // --------------------------------------------- SlotGovernor membership
 
 TEST(SlotGovernorCapacityTest, ShrinkingCapacityReapportionsEntitlements) {

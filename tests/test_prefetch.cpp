@@ -279,24 +279,6 @@ TEST(PrefetchTerminationTest, TerminatesWithAPrefetchedChunkOutstanding) {
     EXPECT_EQ(sum.load(), 9);
 }
 
-TEST(PrefetchEnvTest, HdlsPrefetchParsesStrictly) {
-    using hdls::core::prefetch_from_env;
-    ::unsetenv("HDLS_PREFETCH");
-    EXPECT_FALSE(prefetch_from_env());
-    EXPECT_TRUE(prefetch_from_env(true));  // fallback when unset
-    ::setenv("HDLS_PREFETCH", "1", 1);
-    EXPECT_TRUE(prefetch_from_env());
-    ::setenv("HDLS_PREFETCH", "on", 1);
-    EXPECT_TRUE(prefetch_from_env());
-    ::setenv("HDLS_PREFETCH", "FALSE", 1);
-    EXPECT_FALSE(prefetch_from_env(true));
-    ::setenv("HDLS_PREFETCH", "0", 1);
-    EXPECT_FALSE(prefetch_from_env(true));
-    ::setenv("HDLS_PREFETCH", "maybe", 1);
-    EXPECT_THROW((void)prefetch_from_env(), std::invalid_argument);
-    ::unsetenv("HDLS_PREFETCH");
-}
-
 TEST(PrefetchTraceTest, EveryAcquireRecordsOneHitOrMiss) {
     HierConfig cfg;
     cfg.inter = Technique::GSS;

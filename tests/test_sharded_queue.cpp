@@ -257,19 +257,6 @@ TEST(ShardedBackendTest, FactoryFallsBackToCentralizedForAdaptive) {
     });
 }
 
-TEST(ShardedBackendTest, EnvKnobSelectsTheBackend) {
-    ::setenv("HDLS_INTER_BACKEND", "sharded", 1);
-    EXPECT_EQ(inter_backend_from_env(), InterBackend::Sharded);
-    ::setenv("HDLS_INTER_BACKEND", "CENTRALIZED", 1);
-    EXPECT_EQ(inter_backend_from_env(InterBackend::Sharded), InterBackend::Centralized);
-    // A malformed value throws instead of silently falling back: an
-    // unknown backend would change what the run measures.
-    ::setenv("HDLS_INTER_BACKEND", "nonsense", 1);
-    EXPECT_THROW((void)inter_backend_from_env(InterBackend::Sharded), std::invalid_argument);
-    ::unsetenv("HDLS_INTER_BACKEND");
-    EXPECT_EQ(inter_backend_from_env(), InterBackend::Centralized);
-}
-
 TEST(ShardedBackendTest, EndToEndThroughBothExecutors) {
     for (const Approach approach : {Approach::MpiMpi, Approach::MpiOpenMp}) {
         for (const Technique inter : {Technique::GSS, Technique::FAC2, Technique::WF}) {
