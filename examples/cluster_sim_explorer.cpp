@@ -4,9 +4,11 @@
 /// workload, and inspect the per-worker time breakdown. Useful for
 /// exploring configurations beyond the paper's figures.
 ///
-///   $ ./cluster_sim_explorer --model MPI+MPI --inter GSS --intra SS \
-///       --nodes 4 --rpn 16 --workload exponential --iterations 100000 \
-///       --mean-us 300 --cov 1.0 --per-worker
+/// One command line, wrapped here:
+///
+///   $ ./cluster_sim_explorer --model MPI+MPI --inter GSS --intra SS --nodes 4
+///       --rpn 16 --workload exponential --iterations 100000 --mean-us 300
+///       --cov 1.0 --per-worker
 
 #include <iostream>
 

@@ -4,7 +4,9 @@
 /// dynamic loop self-scheduling, verify the result against a serial
 /// render, and write a PPM.
 ///
-///   $ ./mandelbrot_render --inter GSS --intra STATIC --nodes 2 --rpn 4 \
+/// One command line, wrapped here:
+///
+///   $ ./mandelbrot_render --inter GSS --intra STATIC --nodes 2 --rpn 4
 ///       --width 512 --height 512 --out mandelbrot.ppm
 
 #include <fstream>

@@ -5,9 +5,10 @@
 /// ASCII Gantt straight to the terminal — plus the derived per-worker
 /// overhead/compute breakdown.
 ///
-///   $ ./trace_explorer --schedule GSS+SS --approach MPI+MPI \
-///         --nodes 2 --wpn 4 --workload gaussian --iterations 2000 \
-///         --format chrome --out trace.json
+/// One command line, wrapped here:
+///
+///   $ ./trace_explorer --schedule GSS+SS --approach MPI+MPI --nodes 2 --wpn 4
+///         --workload gaussian --iterations 2000 --format chrome --out trace.json
 ///
 /// The loop body busy-spins each iteration for its synthetic cost, so the
 /// recorded timeline reflects real contention on this machine.

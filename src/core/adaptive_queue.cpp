@@ -91,8 +91,7 @@ std::optional<AdaptiveGlobalQueue::Chunk> AdaptiveGlobalQueue::try_acquire() {
     if (size <= 0) {
         return std::nullopt;
     }
-    const std::int64_t step =
-        window_.fetch_and_op<std::int64_t>(1, kHost, kStep, minimpi::AccumulateOp::Sum);
+    const std::int64_t step = window_.fetch_add<std::int64_t>(1, kHost, kStep);
     ++acquired_;
     return Chunk{total_ - before, size, step};
 }
@@ -107,12 +106,12 @@ void AdaptiveGlobalQueue::report(std::int64_t iterations, double compute_seconds
     // only pair old iterations with new time — underestimating the node's
     // rate, which is conservative. The reverse tearing would hand a slow
     // node an oversized chunk.
-    (void)window_.fetch_and_op<std::int64_t>(dls::feedback_ns(compute_seconds), kHost,
-                                             cell_of(node_, 1), minimpi::AccumulateOp::Sum);
-    (void)window_.fetch_and_op<std::int64_t>(dls::feedback_ns(overhead_seconds), kHost,
-                                             cell_of(node_, 2), minimpi::AccumulateOp::Sum);
-    (void)window_.fetch_and_op<std::int64_t>(std::max<std::int64_t>(iterations, 0), kHost,
-                                             cell_of(node_, 0), minimpi::AccumulateOp::Sum);
+    (void)window_.fetch_add<std::int64_t>(dls::feedback_ns(compute_seconds), kHost,
+                                          cell_of(node_, 1));
+    (void)window_.fetch_add<std::int64_t>(dls::feedback_ns(overhead_seconds), kHost,
+                                          cell_of(node_, 2));
+    (void)window_.fetch_add<std::int64_t>(std::max<std::int64_t>(iterations, 0), kHost,
+                                          cell_of(node_, 0));
 }
 
 std::int64_t AdaptiveGlobalQueue::remaining() const {

@@ -15,10 +15,10 @@
 ///   2. R -> R - size with size = dls::remaining_based_chunk(R, weight),
 ///      through a compare_and_swap retry loop (Window::atomic_update) — the
 ///      CAS protection is what makes the tiling exact under concurrency;
-///   3. fetch_and_op(+1) on the step counter for the chunk's step id.
+///   3. fetch_add(+1) on the step counter for the chunk's step id.
 /// The acquired chunk is [N - R_old, N - R_old + size).
 ///
-/// After executing a chunk a rank posts report(): three fetch_and_op sums
+/// After executing a chunk a rank posts report(): three fetch_add sums
 /// into its node's feedback cells (times as integer nanoseconds). AWF-C/E
 /// re-derive weights on every acquisition; AWF-B/D only when the
 /// halving-batch index advances (dls::halving_batch_index), the

@@ -9,7 +9,7 @@
 /// the loop parameters — so a chunk is one atomic fetch-and-op plus a local
 /// lookup, with no master process:
 ///
-///     step          <- fetch_and_op(+1, window[kStep])
+///     step          <- fetch_add(+1, window[kStep])
 ///     [start, size] <- table.at(step)      // step >= table.steps() => exhausted
 ///
 /// Which chunk a step maps to never depends on timing, so the chunk
@@ -51,8 +51,7 @@ public:
 
     /// Acquires the next chunk, or std::nullopt once the loop is exhausted.
     [[nodiscard]] std::optional<Chunk> try_acquire() override {
-        const std::int64_t step =
-            window_.fetch_and_op<std::int64_t>(1, 0, kStep, minimpi::AccumulateOp::Sum);
+        const std::int64_t step = window_.fetch_add<std::int64_t>(1, 0, kStep);
         if (step >= table_.steps()) {
             return std::nullopt;
         }

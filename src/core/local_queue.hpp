@@ -155,8 +155,7 @@ public:
     /// Announce an in-flight refill *before* touching the parent level so
     /// peers do not terminate while a chunk is on its way.
     void begin_refill() override {
-        (void)window_.fetch_and_op<std::int64_t>(1, kHost, kInflight,
-                                                 minimpi::AccumulateOp::Sum);
+        (void)window_.fetch_add<std::int64_t>(1, kHost, kInflight);
     }
 
     /// The announcement as a nonblocking window op (the prefetch issue
@@ -168,8 +167,7 @@ public:
 
     /// Withdraw the announcement (the parent turned out to be empty).
     void end_refill() override {
-        (void)window_.fetch_and_op<std::int64_t>(-1, kHost, kInflight,
-                                                 minimpi::AccumulateOp::Sum);
+        (void)window_.fetch_add<std::int64_t>(-1, kHost, kInflight);
     }
 
     /// Stage 1+2: append a fresh parent chunk inside one exclusive epoch

@@ -82,8 +82,7 @@ std::optional<ShardedInterQueue::Chunk> ShardedInterQueue::take_from(int shard) 
     if (glance <= 0) {
         return std::nullopt;
     }
-    const std::int64_t step =
-        window_.fetch_and_op<std::int64_t>(1, host, kStep, minimpi::AccumulateOp::Sum);
+    const std::int64_t step = window_.fetch_add<std::int64_t>(1, host, kStep);
     const std::int64_t hint = dls::shard_chunk_hint(
         technique_, sizes_[static_cast<std::size_t>(shard)], level_workers_, min_chunk_, step);
     // hint <= 0 (formula ran dry before the shard did — possible only

@@ -16,7 +16,7 @@
 /// centralized per-node subsequence, which keeps the shard stealable
 /// longer at node-local cost):
 ///
-///   step   <- fetch_and_op(+1, own step cell)
+///   step   <- fetch_add(+1, own step cell)
 ///   hint   <- shard_chunk_hint(technique, shard, step)
 ///   R_old  <- atomic_update(own R cell, R -> R - min(hint, R))
 ///   chunk  =  [lo + S - R_old, lo + S - R_old + min(hint, R_old))

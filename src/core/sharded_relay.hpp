@@ -82,8 +82,7 @@ public:
     }
 
     void begin_refill() override {
-        (void)window_.fetch_and_op<std::int64_t>(1, kHost, kInflight,
-                                                 minimpi::AccumulateOp::Sum);
+        (void)window_.fetch_add<std::int64_t>(1, kHost, kInflight);
     }
 
     /// The announcement as a nonblocking window op (the prefetch issue
@@ -94,8 +93,7 @@ public:
     }
 
     void end_refill() override {
-        (void)window_.fetch_and_op<std::int64_t>(-1, kHost, kInflight,
-                                                 minimpi::AccumulateOp::Sum);
+        (void)window_.fetch_add<std::int64_t>(-1, kHost, kInflight);
     }
 
     [[nodiscard]] std::optional<SubChunk> push_and_pop(std::int64_t start, std::int64_t size,

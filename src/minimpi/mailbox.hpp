@@ -1,21 +1,22 @@
 #pragma once
 /// \file mailbox.hpp
-/// Internal: the per-rank message-queue *interface* with MPI matching
-/// semantics. Each Transport supplies its own implementation (see
+/// Internal: the per-rank message queue that carries minimpi's collective
+/// lane (barrier, the bcast/gather steps of allgather, window set-up). The
+/// scheduler itself is one-sided; this lane exists for communicator and
+/// window set-up only. Each Transport supplies its own implementation (see
 /// transport.hpp): the thread transport a mutex+condvar deque, the shm
 /// transport a lock-word slot table inside the shared segment.
 ///
 /// Sends are *eager*: the payload is copied into the destination mailbox
-/// and the send completes as soon as the envelope is enqueued (MPI's
-/// buffered/eager protocol; a transport with bounded buffering may block
-/// the sender until a slot frees, which preserves eager semantics for any
-/// program that was correct under finite MPI buffering). Receives scan the
-/// queue front-to-back for the first envelope matching (comm, source, tag,
-/// lane), which yields MPI's non-overtaking guarantee: two messages from
-/// the same sender with the same tag are received in send order.
+/// and push returns as soon as the envelope is enqueued (a transport with
+/// bounded buffering may block the sender until a slot frees). A receive
+/// takes the envelope whose key (comm id, source, phase, collective
+/// sequence) equals the one it asks for. Every collective message has a
+/// distinct key, so a fast rank's message for the next collective can
+/// never be mistaken for one of the current collective.
 ///
-/// Abort contract: every potentially blocking entry point (push under
-/// backpressure, match) takes the runtime's abort flag and must observe it
+/// Abort contract: both potentially blocking entry points (push under
+/// backpressure, match) take the runtime's abort flag and must observe it
 /// in bounded time, throwing ErrorCode::Aborted — a failing peer rank may
 /// never produce the message a receiver is parked on.
 ///
@@ -23,52 +24,31 @@
 
 #include <atomic>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "minimpi/types.hpp"
 
 namespace minimpi::detail {
 
-/// A message in flight. `collective` separates the runtime-internal
-/// collective lane from user point-to-point traffic; `cseq` disambiguates
-/// successive collectives on the same communicator.
-struct Envelope {
+/// Identity of one collective message: `phase` separates the rounds of one
+/// collective, `cseq` successive collectives on the same communicator.
+struct EnvelopeKey {
     std::uint64_t comm_id = 0;
     int src = 0;  ///< comm rank of the sender
-    int tag = 0;
-    bool collective = false;
+    int phase = 0;
     std::uint64_t cseq = 0;
+
+    friend bool operator==(const EnvelopeKey&, const EnvelopeKey&) = default;
+};
+
+/// A message in flight.
+struct Envelope {
+    EnvelopeKey key;
     std::vector<std::byte> payload;
 };
 
-/// Matching criteria for a receive/probe.
-struct MatchSpec {
-    std::uint64_t comm_id = 0;
-    int src = kAnySource;
-    int tag = kAnyTag;
-    bool collective = false;
-    std::uint64_t cseq = 0;
-
-    [[nodiscard]] bool matches(const Envelope& e) const noexcept {
-        if (e.comm_id != comm_id || e.collective != collective) {
-            return false;
-        }
-        if (collective && e.cseq != cseq) {
-            return false;
-        }
-        if (src != kAnySource && e.src != src) {
-            return false;
-        }
-        if (tag != kAnyTag && e.tag != tag) {
-            return false;
-        }
-        return true;
-    }
-};
-
-/// One mailbox per world rank; all communicators share it (envelopes carry
-/// the communicator id).
+/// One mailbox per world rank; all communicators share it (keys carry the
+/// communicator id).
 class Mailbox {
 public:
     virtual ~Mailbox() = default;
@@ -78,22 +58,14 @@ public:
     /// rather than wait on a dead peer.
     virtual void push(Envelope e, const std::atomic<bool>& abort) = 0;
 
-    /// Blocking matched pop. Polls the abort flag so a failing rank
-    /// elsewhere unblocks this one instead of deadlocking the process.
-    virtual Envelope match(const MatchSpec& spec, const std::atomic<bool>& abort) = 0;
-
-    /// Non-blocking matched pop.
-    virtual std::optional<Envelope> try_match(const MatchSpec& spec) = 0;
-
-    /// Non-destructive probe: status of the first matching envelope.
-    virtual std::optional<Status> peek(const MatchSpec& spec) = 0;
+    /// Blocking pop of the envelope with this key. Polls the abort flag so
+    /// a failing rank elsewhere unblocks this one instead of deadlocking
+    /// the process.
+    virtual Envelope match(const EnvelopeKey& key, const std::atomic<bool>& abort) = 0;
 
     /// Wakes blocked receivers so they can observe the abort flag (a no-op
     /// for transports whose waits are polled).
     virtual void interrupt() = 0;
-
-    /// Number of queued envelopes (tests / leak detection).
-    [[nodiscard]] virtual std::size_t pending() = 0;
 };
 
 }  // namespace minimpi::detail

@@ -4,7 +4,6 @@
 /// Runtime::run invocation. Not part of the public API.
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>

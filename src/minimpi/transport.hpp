@@ -7,8 +7,8 @@
 /// knob or an explicit Runtime::run overload):
 ///
 ///  * TransportKind::Threads — the historical in-process substrate: heap
-///    mailboxes guarded by mutex+condvar, window segments in an aligned
-///    heap buffer, passive-target epochs on atomic lock words.
+///    collective mailboxes guarded by mutex+condvar, window segments in an
+///    aligned heap buffer, passive-target epochs on atomic lock words.
 ///  * TransportKind::Shm — the paper's MPI_Win_allocate_shared model: one
 ///    POSIX shared-memory segment (shm_open + mmap) holds every mailbox
 ///    and every window, synchronized exclusively through lock words and
@@ -20,9 +20,12 @@
 ///
 /// Whatever the transport, the seam must carry the semantics the
 /// scheduling core relies on:
-///  * eager non-overtaking sends (Mailbox),
 ///  * passive-target epochs + element-wise atomics + request-based
-///    nonblocking CAS (WindowStorage and the Window built on it),
+///    nonblocking CAS (WindowStorage and the Window built on it) — the
+///    whole scheduling protocol;
+///  * the collective lane behind barrier/allgather/split and window
+///    set-up: eager sends matched by (comm, source, phase, sequence) key
+///    (Mailbox);
 ///  * abort propagation: every blocking primitive observes a peer failure
 ///    in bounded time and throws ErrorCode::Aborted (mailbox waits poll
 ///    the runtime flag, window lock acquisition polls it between attempts).

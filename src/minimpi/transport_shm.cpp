@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <cstring>
 #include <new>
+#include <optional>
 #include <string>
 
 #include "minimpi/backoff.hpp"
@@ -86,8 +87,7 @@ struct ShmSlot {
     std::uint64_t comm_id;
     std::uint64_t cseq;
     std::int32_t src;
-    std::int32_t tag;
-    std::uint32_t collective;
+    std::int32_t phase;
     std::uint32_t size;  ///< total payload bytes of the whole chain
     std::int32_t next;
     std::int32_t cont;
@@ -99,7 +99,6 @@ struct ShmSlot {
 /// that never queues more than k messages at once touches only k slots.
 struct ShmMailboxShared {
     std::atomic<std::uint32_t> lock{0};
-    std::uint32_t count = 0;
     std::int32_t head = -1;
     std::int32_t tail = -1;
     std::int32_t free_head = -1;
@@ -121,20 +120,51 @@ namespace {
     return -1;
 }
 
-[[nodiscard]] bool matches_slot(const MatchSpec& spec, const ShmSlot& s) noexcept {
-    if (s.comm_id != spec.comm_id || (s.collective != 0) != spec.collective) {
-        return false;
+[[nodiscard]] bool matches_slot(const EnvelopeKey& key, const ShmSlot& s) noexcept {
+    return s.comm_id == key.comm_id && s.cseq == key.cseq && s.src == key.src &&
+           s.phase == key.phase;
+}
+
+/// Unlinks and returns the envelope with `key`, if one is queued.
+[[nodiscard]] std::optional<Envelope> try_take(ShmMailboxShared& sh, const EnvelopeKey& key) {
+    const SpinLockGuard guard(sh.lock);
+    std::int32_t prev = -1;
+    for (std::int32_t idx = sh.head; idx >= 0;
+         idx = sh.slots[static_cast<std::size_t>(idx)].next) {
+        ShmSlot& s = sh.slots[static_cast<std::size_t>(idx)];
+        if (matches_slot(key, s)) {
+            Envelope e;
+            e.key = key;
+            e.payload.resize(s.size);
+            std::size_t copied = 0;
+            for (std::int32_t c = idx; c >= 0; c = sh.slots[static_cast<std::size_t>(c)].cont) {
+                const std::size_t chunk = std::min(kShmMaxPayload, e.payload.size() - copied);
+                if (chunk > 0) {
+                    std::memcpy(e.payload.data() + copied,
+                                sh.slots[static_cast<std::size_t>(c)].payload, chunk);
+                }
+                copied += chunk;
+            }
+            if (prev >= 0) {
+                sh.slots[static_cast<std::size_t>(prev)].next = s.next;
+            } else {
+                sh.head = s.next;
+            }
+            if (sh.tail == idx) {
+                sh.tail = prev;
+            }
+            std::int32_t c = idx;
+            while (c >= 0) {
+                const std::int32_t cont = sh.slots[static_cast<std::size_t>(c)].cont;
+                sh.slots[static_cast<std::size_t>(c)].next = sh.free_head;
+                sh.free_head = c;
+                c = cont;
+            }
+            return e;
+        }
+        prev = idx;
     }
-    if (spec.collective && s.cseq != spec.cseq) {
-        return false;
-    }
-    if (spec.src != kAnySource && s.src != spec.src) {
-        return false;
-    }
-    if (spec.tag != kAnyTag && s.tag != spec.tag) {
-        return false;
-    }
-    return true;
+    return std::nullopt;
 }
 
 }  // namespace
@@ -219,11 +249,10 @@ void ShmMailbox::push(Envelope e, const std::atomic<bool>& abort) {
             }
             if (got == needed) {
                 ShmSlot& s = sh_->slots[static_cast<std::size_t>(first)];
-                s.comm_id = e.comm_id;
-                s.cseq = e.cseq;
-                s.src = e.src;
-                s.tag = e.tag;
-                s.collective = e.collective ? 1 : 0;
+                s.comm_id = e.key.comm_id;
+                s.cseq = e.key.cseq;
+                s.src = e.key.src;
+                s.phase = e.key.phase;
                 s.size = static_cast<std::uint32_t>(e.payload.size());
                 s.next = -1;
                 std::size_t copied = 0;
@@ -243,7 +272,6 @@ void ShmMailbox::push(Envelope e, const std::atomic<bool>& abort) {
                     sh_->head = first;
                 }
                 sh_->tail = first;
-                ++sh_->count;
                 return;
             }
             while (first >= 0) {
@@ -262,10 +290,10 @@ void ShmMailbox::push(Envelope e, const std::atomic<bool>& abort) {
     }
 }
 
-Envelope ShmMailbox::match(const MatchSpec& spec, const std::atomic<bool>& abort) {
+Envelope ShmMailbox::match(const EnvelopeKey& key, const std::atomic<bool>& abort) {
     Backoff backoff;
     for (;;) {
-        if (auto e = try_match(spec)) {
+        if (auto e = try_take(*sh_, key)) {
             return std::move(*e);
         }
         if (abort.load(std::memory_order_acquire)) {
@@ -275,69 +303,7 @@ Envelope ShmMailbox::match(const MatchSpec& spec, const std::atomic<bool>& abort
     }
 }
 
-std::optional<Envelope> ShmMailbox::try_match(const MatchSpec& spec) {
-    const SpinLockGuard guard(sh_->lock);
-    std::int32_t prev = -1;
-    for (std::int32_t idx = sh_->head; idx >= 0; idx = sh_->slots[static_cast<std::size_t>(idx)].next) {
-        ShmSlot& s = sh_->slots[static_cast<std::size_t>(idx)];
-        if (matches_slot(spec, s)) {
-            Envelope e;
-            e.comm_id = s.comm_id;
-            e.cseq = s.cseq;
-            e.src = s.src;
-            e.tag = s.tag;
-            e.collective = s.collective != 0;
-            e.payload.resize(s.size);
-            std::size_t copied = 0;
-            for (std::int32_t c = idx; c >= 0;
-                 c = sh_->slots[static_cast<std::size_t>(c)].cont) {
-                const std::size_t chunk = std::min(kShmMaxPayload, e.payload.size() - copied);
-                if (chunk > 0) {
-                    std::memcpy(e.payload.data() + copied,
-                                sh_->slots[static_cast<std::size_t>(c)].payload, chunk);
-                }
-                copied += chunk;
-            }
-            if (prev >= 0) {
-                sh_->slots[static_cast<std::size_t>(prev)].next = s.next;
-            } else {
-                sh_->head = s.next;
-            }
-            if (sh_->tail == idx) {
-                sh_->tail = prev;
-            }
-            std::int32_t c = idx;
-            while (c >= 0) {
-                const std::int32_t cont = sh_->slots[static_cast<std::size_t>(c)].cont;
-                sh_->slots[static_cast<std::size_t>(c)].next = sh_->free_head;
-                sh_->free_head = c;
-                c = cont;
-            }
-            --sh_->count;
-            return e;
-        }
-        prev = idx;
-    }
-    return std::nullopt;
-}
-
-std::optional<Status> ShmMailbox::peek(const MatchSpec& spec) {
-    const SpinLockGuard guard(sh_->lock);
-    for (std::int32_t idx = sh_->head; idx >= 0; idx = sh_->slots[static_cast<std::size_t>(idx)].next) {
-        const ShmSlot& s = sh_->slots[static_cast<std::size_t>(idx)];
-        if (matches_slot(spec, s)) {
-            return Status{s.src, s.tag, s.size};
-        }
-    }
-    return std::nullopt;
-}
-
 void ShmMailbox::interrupt() {}
-
-std::size_t ShmMailbox::pending() {
-    const SpinLockGuard guard(sh_->lock);
-    return sh_->count;
-}
 
 // ------------------------------------------------------- ShmWindowStorage --
 

@@ -6,12 +6,14 @@
 ///
 ///   [ control block | mailbox 0 | mailbox 1 | ... | window arena ]
 ///
-///  * Mailboxes are fixed-capacity slot tables (kShmMailboxSlots slots of
-///    kShmMaxPayload inline payload bytes; bigger messages chain
+///  * Mailboxes carry the collective lane (barrier, allgather, window
+///    set-up). Each is a fixed-capacity slot table (kShmMailboxSlots
+///    slots of kShmMaxPayload inline payload bytes; bigger messages chain
 ///    continuation slots) ordered by an index-linked list, guarded by one
 ///    exclusive lock word per mailbox. push blocks under backpressure
-///    (bounded eager buffering); match is a polled scan on the Backoff
-///    ladder. Both observe the abort flag in bounded time.
+///    (bounded eager buffering); match is a polled scan for the requested
+///    envelope key on the Backoff ladder. Both observe the abort flag in
+///    bounded time.
 ///  * Windows are carved from the arena by an atomic bump allocator in the
 ///    control block: per-rank lock *words* (one cache line each — the
 ///    futex-or-polled words real passive-target implementations use over
@@ -34,8 +36,9 @@ namespace minimpi::detail {
 /// Per-mailbox slot count; a sender whose destination has all slots in
 /// flight blocks (polling abort) until the receiver drains one.
 inline constexpr std::size_t kShmMailboxSlots = 256;
-/// Inline payload bytes of one slot. Everything the scheduling core sends
-/// is tens of bytes (one slot); a larger message chains continuation
+/// Inline payload bytes of one slot. Every collective message of the
+/// scheduler's set-up is tens of bytes (one slot); a larger one (an
+/// allgather of a big value, or its P-fold broadcast) chains continuation
 /// slots, up to the whole slot table (kShmMailboxSlots * kShmMaxPayload
 /// bytes) before throwing ErrorCode::Resource with a one-line hint.
 inline constexpr std::size_t kShmMaxPayload = 4096;
@@ -68,11 +71,8 @@ public:
     explicit ShmMailbox(ShmMailboxShared* shared) : sh_(shared) {}
 
     void push(Envelope e, const std::atomic<bool>& abort) override;
-    Envelope match(const MatchSpec& spec, const std::atomic<bool>& abort) override;
-    std::optional<Envelope> try_match(const MatchSpec& spec) override;
-    std::optional<Status> peek(const MatchSpec& spec) override;
+    Envelope match(const EnvelopeKey& key, const std::atomic<bool>& abort) override;
     void interrupt() override;  // waits are polled: nothing to wake
-    [[nodiscard]] std::size_t pending() override;
 
 private:
     ShmMailboxShared* sh_;

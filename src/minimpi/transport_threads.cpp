@@ -17,11 +17,15 @@ void ThreadMailbox::push(Envelope e, const std::atomic<bool>& /*abort*/) {
     cv_.notify_all();
 }
 
-Envelope ThreadMailbox::match(const MatchSpec& spec, const std::atomic<bool>& abort) {
+Envelope ThreadMailbox::match(const EnvelopeKey& key, const std::atomic<bool>& abort) {
     std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
-        if (auto e = take_locked(spec)) {
-            return std::move(*e);
+        const auto it = std::find_if(queue_.begin(), queue_.end(),
+                                     [&](const Envelope& e) { return e.key == key; });
+        if (it != queue_.end()) {
+            Envelope e = std::move(*it);
+            queue_.erase(it);
+            return e;
         }
         if (abort.load(std::memory_order_acquire)) {
             throw Error(ErrorCode::Aborted, "minimpi: runtime aborting (peer rank failed)");
@@ -30,38 +34,7 @@ Envelope ThreadMailbox::match(const MatchSpec& spec, const std::atomic<bool>& ab
     }
 }
 
-std::optional<Envelope> ThreadMailbox::try_match(const MatchSpec& spec) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return take_locked(spec);
-}
-
-std::optional<Status> ThreadMailbox::peek(const MatchSpec& spec) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (const Envelope& e : queue_) {
-        if (spec.matches(e)) {
-            return Status{e.src, e.tag, e.payload.size()};
-        }
-    }
-    return std::nullopt;
-}
-
 void ThreadMailbox::interrupt() { cv_.notify_all(); }
-
-std::size_t ThreadMailbox::pending() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return queue_.size();
-}
-
-std::optional<Envelope> ThreadMailbox::take_locked(const MatchSpec& spec) {
-    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-        if (spec.matches(*it)) {
-            Envelope e = std::move(*it);
-            queue_.erase(it);
-            return e;
-        }
-    }
-    return std::nullopt;
-}
 
 // ---------------------------------------------------- ThreadWindowStorage --
 

@@ -24,15 +24,10 @@ namespace minimpi::detail {
 class ThreadMailbox final : public Mailbox {
 public:
     void push(Envelope e, const std::atomic<bool>& abort) override;
-    Envelope match(const MatchSpec& spec, const std::atomic<bool>& abort) override;
-    std::optional<Envelope> try_match(const MatchSpec& spec) override;
-    std::optional<Status> peek(const MatchSpec& spec) override;
+    Envelope match(const EnvelopeKey& key, const std::atomic<bool>& abort) override;
     void interrupt() override;
-    [[nodiscard]] std::size_t pending() override;
 
 private:
-    std::optional<Envelope> take_locked(const MatchSpec& spec);
-
     std::mutex mutex_;
     std::condition_variable cv_;
     std::deque<Envelope> queue_;

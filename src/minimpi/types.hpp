@@ -2,19 +2,22 @@
 /// \file types.hpp
 /// Common types, constants and errors of the minimpi runtime.
 ///
-/// minimpi is a *thread-backed* implementation of the MPI-3 subset the
-/// paper's MPI+MPI approach relies on: two-sided point-to-point messaging,
-/// collectives, communicator splitting (including the shared-memory split
-/// of MPI_Comm_split_type) and passive-target one-sided windows including
-/// MPI_Win_allocate_shared, MPI_Fetch_and_op and MPI_Compare_and_swap.
-/// Ranks are threads inside one process; a Topology assigns ranks to
-/// simulated "compute nodes" so that node-level splitting behaves exactly
+/// minimpi implements the MPI-3 subset the paper's MPI+MPI scheduler
+/// calls, and nothing more. The scheduling protocol is one-sided: the
+/// global queue is one fetch-and-op on a window, the node queue is a
+/// shared-memory window (MPI_Win_allocate_shared) claimed by
+/// compare-and-swap and passive-target epochs. Only communicator setup is
+/// collective: barrier, allgather and the communicator splits (including
+/// the shared-memory split of MPI_Comm_split_type), which ride on a
+/// runtime-internal message lane. There is no user-visible two-sided
+/// messaging. Ranks are threads inside one process; a Topology assigns
+/// ranks to simulated "compute nodes" so that node-level splitting behaves
 /// like MPI_COMM_TYPE_SHARED on a real cluster.
 ///
-/// The public API mirrors MPI *semantics* (matching rules, eager buffered
-/// sends, exclusive/shared passive-target locks, element-wise atomicity of
-/// accumulate operations) with idiomatic C++ surface (RAII, spans, enums,
-/// exceptions instead of error codes).
+/// The public API keeps MPI *semantics* (exclusive/shared passive-target
+/// locks, element-wise atomicity of the window atomics, collective call
+/// order) with an idiomatic C++ surface (RAII, spans, enums, exceptions
+/// instead of error codes).
 
 #include <cstddef>
 #include <cstdint>
@@ -24,20 +27,13 @@
 
 namespace minimpi {
 
-/// Wildcard for Comm::recv / probe source matching (MPI_ANY_SOURCE).
-inline constexpr int kAnySource = -1;
-/// Wildcard for Comm::recv / probe tag matching (MPI_ANY_TAG).
-inline constexpr int kAnyTag = -1;
-
 /// Error categories (loosely mirrors the MPI error classes we can hit).
 enum class ErrorCode {
     InvalidRank,
-    InvalidTag,
     InvalidArgument,
-    Truncate,       ///< receive buffer smaller than the matched message
-    WindowUsage,    ///< bad window rank/offset/alignment
-    Aborted,        ///< another rank terminated with an exception
-    Resource,       ///< transport resource exhausted (shm segment, slot capacity)
+    WindowUsage,  ///< bad window rank/offset/alignment
+    Aborted,      ///< another rank terminated with an exception
+    Resource,     ///< transport resource exhausted (shm segment, slot capacity)
     Internal,
 };
 
@@ -51,19 +47,6 @@ private:
     ErrorCode code_;
 };
 
-/// Completion information of a receive (subset of MPI_Status).
-struct Status {
-    int source = kAnySource;  ///< comm rank of the sender
-    int tag = kAnyTag;
-    std::size_t bytes = 0;  ///< payload size in bytes
-
-    /// Element count, MPI_Get_count style.
-    template <typename T>
-    [[nodiscard]] std::size_t count() const noexcept {
-        return bytes / sizeof(T);
-    }
-};
-
 /// Comm::split_type selector (subset of MPI_COMM_TYPE_*).
 enum class SplitType {
     Shared,  ///< ranks that share a simulated compute node (MPI_COMM_TYPE_SHARED)
@@ -72,19 +55,7 @@ enum class SplitType {
 /// Passive-target lock type (MPI_LOCK_EXCLUSIVE / MPI_LOCK_SHARED).
 enum class LockType { Exclusive, Shared };
 
-/// Element-wise atomic op for Window::fetch_and_op (subset of MPI_Op).
-enum class AccumulateOp {
-    Sum,      ///< MPI_SUM
-    Replace,  ///< MPI_REPLACE
-    Min,      ///< MPI_MIN
-    Max,      ///< MPI_MAX
-    NoOp,     ///< MPI_NO_OP — atomic read
-};
-
-/// Reduction operators for the collective reduce/allreduce.
-enum class ReduceOp { Sum, Prod, Min, Max };
-
-/// Only trivially copyable types travel through messages and windows.
+/// Only trivially copyable types travel through collectives and windows.
 template <typename T>
 concept Pod = std::is_trivially_copyable_v<T>;
 

@@ -42,10 +42,8 @@ Window Window::allocate_shared(const Comm& comm, std::size_t local_bytes) {
     const int p = comm.size();
 
     // Everyone learns everyone's contribution and derives identical layout.
-    const auto mine = static_cast<std::uint64_t>(local_bytes);
-    std::vector<std::uint64_t> contributions(static_cast<std::size_t>(p));
-    comm.allgather(std::span<const std::uint64_t>(&mine, 1),
-                   std::span<std::uint64_t>(contributions));
+    const std::vector<std::uint64_t> contributions =
+        comm.allgather(static_cast<std::uint64_t>(local_bytes));
     std::vector<std::size_t> offsets(static_cast<std::size_t>(p));
     std::vector<std::size_t> sizes(static_cast<std::size_t>(p));
     std::size_t total = 0;
@@ -63,12 +61,12 @@ Window Window::allocate_shared(const Comm& comm, std::size_t local_bytes) {
         win_id = state->next_window_id.fetch_add(1, std::memory_order_relaxed);
         auto storage =
             state->transport->allocate_window(std::max<std::size_t>(total, 1), p);
-        auto impl = std::make_shared<detail::WindowImpl>(win_id, *comm.meta_, offsets, sizes,
+        auto impl = std::make_shared<detail::WindowImpl>(win_id, offsets, sizes,
                                                          std::move(storage));
         const std::lock_guard<std::mutex> lock(state->window_mutex);
         state->windows.emplace(win_id, std::move(impl));
     }
-    comm.bcast(win_id, 0);
+    comm.bcast_bytes(&win_id, sizeof(win_id));
 
     std::shared_ptr<detail::WindowImpl> impl;
     {
@@ -80,10 +78,6 @@ Window Window::allocate_shared(const Comm& comm, std::size_t local_bytes) {
         impl = it->second;
     }
     return Window(std::move(impl), comm);
-}
-
-Window Window::allocate(const Comm& comm, std::size_t local_bytes) {
-    return allocate_shared(comm, local_bytes);
 }
 
 void Window::require_valid() const {
@@ -105,17 +99,6 @@ void Window::release_held() noexcept {
         }
     }
     held_.clear();
-}
-
-std::span<std::byte> Window::local_span() const {
-    require_valid();
-    return {impl_->segment(rank_), impl_->segment_size(rank_)};
-}
-
-std::pair<std::byte*, std::size_t> Window::shared_query(int target_rank) const {
-    require_valid();
-    check_target(target_rank);
-    return {impl_->segment(target_rank), impl_->segment_size(target_rank)};
 }
 
 void Window::lock(LockType type, int target_rank) const {
@@ -141,42 +124,6 @@ void Window::unlock(int target_rank) const {
     held_.erase(it);
 }
 
-void Window::lock_all() const {
-    require_valid();
-    int locked = 0;
-    try {
-        for (; locked < size(); ++locked) {
-            lock(LockType::Shared, locked);
-        }
-    } catch (...) {
-        // All-or-nothing: roll back the epochs this call opened (ranks
-        // below `locked` were acquired by the loop itself — a pre-held
-        // epoch would have thrown before being counted).
-        for (int r = 0; r < locked; ++r) {
-            unlock(r);
-        }
-        throw;
-    }
-}
-
-void Window::unlock_all() const {
-    require_valid();
-    for (int r = 0; r < size(); ++r) {
-        unlock(r);
-    }
-}
-
-void Window::flush(int target_rank) const {
-    require_valid();
-    check_target(target_rank);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-}
-
-void Window::flush_all() const {
-    require_valid();
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-}
-
 void Window::sync() const {
     require_valid();
     std::atomic_thread_fence(std::memory_order_seq_cst);
@@ -195,7 +142,6 @@ void Window::free() {
     Comm comm = std::move(comm_);
     comm_ = Comm();
     impl_.reset();
-    rank_ = -1;
     try {
         comm.barrier();  // all ranks must be done with the window
     } catch (...) {

@@ -1,21 +1,28 @@
 #pragma once
 /// \file window.hpp
-/// One-sided (RMA) windows with MPI-3 passive-target semantics, including
-/// the shared-memory windows (MPI_Win_allocate_shared) at the heart of the
-/// paper's MPI+MPI approach.
+/// One-sided (RMA) windows with MPI-3 passive-target semantics: the
+/// shared-memory windows (MPI_Win_allocate_shared) at the heart of the
+/// paper's MPI+MPI approach and the handful of RMA operations its
+/// scheduler issues — one fetch-and-add per global-queue step, the
+/// compare-and-swap family behind the node queue and the adaptive queue,
+/// atomic reads/writes of queue cells and passive-target epochs for the
+/// multi-cell node-queue push. Put/get, whole-window locks and flushes
+/// are not offered: every window the scheduler builds is shared, so a
+/// rank addresses remote segments directly (shared_span) inside an epoch
+/// or through the atomics.
 ///
 /// Semantics preserved from MPI-3:
 ///  * allocate_shared is collective over a communicator whose ranks share a
 ///    node; each rank contributes a segment and can address every segment
-///    directly (shared_query).
+///    directly (MPI_Win_shared_query).
 ///  * lock/unlock open and close passive-target access epochs; Exclusive
 ///    locks on the same target rank are mutually exclusive, Shared locks
 ///    admit concurrent readers.
-///  * fetch_and_op / compare_and_swap are element-wise atomic with respect
-///    to every other accumulate access to the same location, regardless of
-///    locks — exactly the property the distributed chunk-calculation
-///    protocol relies on.
-///  * flush/sync order memory accesses (mapped to seq-cst fences here).
+///  * fetch_add / compare_and_swap and the atomics built on them are
+///    element-wise atomic with respect to every other atomic access to the
+///    same location, regardless of locks — exactly the property the
+///    distributed chunk-calculation protocol relies on.
+///  * sync orders memory accesses (MPI_Win_sync; a seq-cst fence here).
 ///
 /// The backing store and the lock table live behind the transport seam
 /// (detail::WindowStorage): a heap buffer on the thread transport, the
@@ -25,7 +32,6 @@
 /// only computes offsets and enforces epoch/abort semantics.
 
 #include <atomic>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -111,29 +117,25 @@ namespace detail {
 /// is owned by the transport-specific WindowStorage.
 class WindowImpl {
 public:
-    WindowImpl(std::uint64_t id, CommMeta meta, std::vector<std::size_t> offsets,
+    WindowImpl(std::uint64_t id, std::vector<std::size_t> offsets,
                std::vector<std::size_t> sizes, std::unique_ptr<WindowStorage> storage)
         : id_(id),
-          meta_(std::move(meta)),
           offsets_(std::move(offsets)),
           sizes_(std::move(sizes)),
           storage_(std::move(storage)) {}
 
     [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
-    [[nodiscard]] int size() const noexcept { return static_cast<int>(meta_.members.size()); }
-    [[nodiscard]] std::byte* base() noexcept { return storage_->base(); }
+    [[nodiscard]] int size() const noexcept { return static_cast<int>(offsets_.size()); }
     [[nodiscard]] std::byte* segment(int rank) noexcept {
-        return base() + offsets_[static_cast<std::size_t>(rank)];
+        return storage_->base() + offsets_[static_cast<std::size_t>(rank)];
     }
     [[nodiscard]] std::size_t segment_size(int rank) const noexcept {
         return sizes_[static_cast<std::size_t>(rank)];
     }
     [[nodiscard]] WindowStorage& storage() noexcept { return *storage_; }
-    [[nodiscard]] const CommMeta& meta() const noexcept { return meta_; }
 
 private:
     std::uint64_t id_;
-    CommMeta meta_;
     std::vector<std::size_t> offsets_;
     std::vector<std::size_t> sizes_;
     std::unique_ptr<WindowStorage> storage_;
@@ -153,33 +155,28 @@ public:
     Window() = default;
     ~Window() { release_held(); }
 
-    Window(const Window& other) : impl_(other.impl_), comm_(other.comm_), rank_(other.rank_) {}
+    Window(const Window& other) : impl_(other.impl_), comm_(other.comm_) {}
     Window& operator=(const Window& other) {
         if (this != &other) {
             release_held();
             impl_ = other.impl_;
             comm_ = other.comm_;
-            rank_ = other.rank_;
         }
         return *this;
     }
     Window(Window&& other) noexcept
         : impl_(std::move(other.impl_)),
           comm_(std::move(other.comm_)),
-          rank_(other.rank_),
           held_(std::move(other.held_)) {
         other.held_.clear();
-        other.rank_ = -1;
     }
     Window& operator=(Window&& other) noexcept {
         if (this != &other) {
             release_held();
             impl_ = std::move(other.impl_);
             comm_ = std::move(other.comm_);
-            rank_ = other.rank_;
             held_ = std::move(other.held_);
             other.held_.clear();
-            other.rank_ = -1;
         }
         return *this;
     }
@@ -192,28 +189,17 @@ public:
     /// cache-line-padded cells laid out in a segment never straddle lines.
     [[nodiscard]] static Window allocate_shared(const Comm& comm, std::size_t local_bytes);
 
-    /// MPI_Win_allocate. Under this runtime every window is physically
-    /// shared, so this is allocate_shared with the same semantics for
-    /// get/put/atomics; only direct load/store addressing of remote
-    /// segments is (by convention) reserved for shared windows.
-    [[nodiscard]] static Window allocate(const Comm& comm, std::size_t local_bytes);
-
     [[nodiscard]] bool valid() const noexcept { return impl_ != nullptr; }
-    [[nodiscard]] int rank() const noexcept { return rank_; }
     [[nodiscard]] int size() const noexcept { return impl_ ? impl_->size() : 0; }
 
-    /// This rank's segment.
-    [[nodiscard]] std::span<std::byte> local_span() const;
-
-    /// Address and size of any rank's segment (MPI_Win_shared_query).
-    [[nodiscard]] std::pair<std::byte*, std::size_t> shared_query(int target_rank) const;
-
-    /// Typed view of a target segment (shared windows are meant to be
-    /// addressed directly once queried).
+    /// Typed view of any rank's segment (MPI_Win_shared_query): shared
+    /// windows are meant to be addressed directly once queried.
     template <Pod T>
     [[nodiscard]] std::span<T> shared_span(int target_rank) const {
-        auto [ptr, bytes] = shared_query(target_rank);
-        return {reinterpret_cast<T*>(ptr), bytes / sizeof(T)};
+        require_valid();
+        check_target(target_rank);
+        return {reinterpret_cast<T*>(impl_->segment(target_rank)),
+                impl_->segment_size(target_rank) / sizeof(T)};
     }
 
     // ------------------------------------------------ passive target ----
@@ -230,54 +216,17 @@ public:
     /// epoch is open on that target from this handle.
     void unlock(int target_rank) const;
 
-    /// Shared lock on every rank (MPI_Win_lock_all / unlock_all). If any
-    /// acquisition throws, the epochs this call already opened are rolled
-    /// back before the exception propagates — lock_all is all-or-nothing.
-    void lock_all() const;
-    void unlock_all() const;
-
     // ------------------------------------------------------ accumulate ----
 
-    /// Atomically applies `op` to the element at `elem_offset` (in units of
-    /// T) of `target_rank`'s segment and returns the *previous* value
-    /// (MPI_Fetch_and_op).
+    /// Atomically adds `operand` to the element at `elem_offset` (in units
+    /// of T) of `target_rank`'s segment and returns the *previous* value
+    /// (MPI_Fetch_and_op with MPI_SUM).
     template <Pod T>
-    T fetch_and_op(T operand, int target_rank, std::size_t elem_offset, AccumulateOp op) const
-        requires std::is_arithmetic_v<T>
+    T fetch_add(T operand, int target_rank, std::size_t elem_offset) const
+        requires std::is_integral_v<T>
     {
-        T* addr = checked_address<T>(target_rank, elem_offset);
-        std::atomic_ref<T> cell(*addr);
-        switch (op) {
-            case AccumulateOp::Sum:
-                if constexpr (std::is_integral_v<T>) {
-                    return cell.fetch_add(operand, std::memory_order_acq_rel);
-                } else {
-                    T old = cell.load(std::memory_order_acquire);
-                    while (!cell.compare_exchange_weak(old, static_cast<T>(old + operand),
-                                                       std::memory_order_acq_rel)) {
-                    }
-                    return old;
-                }
-            case AccumulateOp::Replace:
-                return cell.exchange(operand, std::memory_order_acq_rel);
-            case AccumulateOp::Min: {
-                T old = cell.load(std::memory_order_acquire);
-                while (operand < old && !cell.compare_exchange_weak(old, operand,
-                                                                    std::memory_order_acq_rel)) {
-                }
-                return old;
-            }
-            case AccumulateOp::Max: {
-                T old = cell.load(std::memory_order_acquire);
-                while (operand > old && !cell.compare_exchange_weak(old, operand,
-                                                                    std::memory_order_acq_rel)) {
-                }
-                return old;
-            }
-            case AccumulateOp::NoOp:
-                return cell.load(std::memory_order_acquire);
-        }
-        throw Error(ErrorCode::InvalidArgument, "minimpi: unknown AccumulateOp");
+        std::atomic_ref<T> cell(*checked_address<T>(target_rank, elem_offset));
+        return cell.fetch_add(operand, std::memory_order_acq_rel);
     }
 
     /// Atomic read (MPI_Fetch_and_op with MPI_NO_OP).
@@ -285,7 +234,8 @@ public:
     [[nodiscard]] T atomic_read(int target_rank, std::size_t elem_offset) const
         requires std::is_arithmetic_v<T>
     {
-        return fetch_and_op<T>(T{}, target_rank, elem_offset, AccumulateOp::NoOp);
+        std::atomic_ref<T> cell(*checked_address<T>(target_rank, elem_offset));
+        return cell.load(std::memory_order_acquire);
     }
 
     /// Atomic write (MPI_Accumulate with MPI_REPLACE).
@@ -293,7 +243,8 @@ public:
     void atomic_write(T value, int target_rank, std::size_t elem_offset) const
         requires std::is_arithmetic_v<T>
     {
-        (void)fetch_and_op<T>(value, target_rank, elem_offset, AccumulateOp::Replace);
+        std::atomic_ref<T> cell(*checked_address<T>(target_rank, elem_offset));
+        (void)cell.exchange(value, std::memory_order_acq_rel);
     }
 
     /// MPI_Compare_and_swap: atomically replaces the element with `desired`
@@ -371,32 +322,10 @@ public:
             });
     }
 
-    // ------------------------------------------------------------ put/get --
-
-    /// Copies into the target segment. Not atomic: the caller must hold an
-    /// epoch (lock) covering concurrent writers, as in MPI.
-    template <Pod T>
-    void put(std::span<const T> values, int target_rank, std::size_t elem_offset) const {
-        T* addr = checked_address<T>(target_rank, elem_offset, values.size());
-        if (!values.empty()) {
-            std::memcpy(addr, values.data(), values.size_bytes());
-        }
-    }
-
-    template <Pod T>
-    void get(std::span<T> values, int target_rank, std::size_t elem_offset) const {
-        T* addr = checked_address<T>(target_rank, elem_offset, values.size());
-        if (!values.empty()) {
-            std::memcpy(values.data(), addr, values.size_bytes());
-        }
-    }
-
     // ------------------------------------------------------ completion ----
 
-    /// Orders RMA accesses (MPI_Win_flush / MPI_Win_sync). In-process
+    /// Orders memory accesses to the window (MPI_Win_sync). In-process
     /// windows need only a memory fence.
-    void flush(int target_rank) const;
-    void flush_all() const;
     void sync() const;
 
     /// Collective teardown (MPI_Win_free). The handle becomes invalid even
@@ -406,19 +335,18 @@ public:
 
 private:
     Window(std::shared_ptr<detail::WindowImpl> impl, Comm comm)
-        : impl_(std::move(impl)), comm_(std::move(comm)), rank_(comm_.rank()) {}
+        : impl_(std::move(impl)), comm_(std::move(comm)) {}
 
     void require_valid() const;
     void check_target(int target_rank) const;
     void release_held() noexcept;
 
     template <Pod T>
-    [[nodiscard]] T* checked_address(int target_rank, std::size_t elem_offset,
-                                     std::size_t elems = 1) const {
+    [[nodiscard]] T* checked_address(int target_rank, std::size_t elem_offset) const {
         require_valid();
         check_target(target_rank);
         const std::size_t byte_off = elem_offset * sizeof(T);
-        const std::size_t need = byte_off + elems * sizeof(T);
+        const std::size_t need = byte_off + sizeof(T);
         if (need > impl_->segment_size(target_rank)) {
             throw Error(ErrorCode::WindowUsage,
                         "minimpi: window access past the end of the target segment");
@@ -432,7 +360,6 @@ private:
 
     std::shared_ptr<detail::WindowImpl> impl_;
     Comm comm_;
-    int rank_ = -1;
     /// Open epochs held by this handle (target rank -> lock type); a plain
     /// map is fine because a handle belongs to a single rank thread.
     mutable std::unordered_map<int, LockType> held_;

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
+#include <numeric>
 #include <set>
 #include <thread>
 #include <utility>
@@ -23,6 +24,13 @@ namespace {
 using namespace hdls::core;
 using hdls::dls::Technique;
 
+/// Sum of one value over every rank of `comm` (allgather + local sum).
+template <typename T>
+[[nodiscard]] T sum_over(const minimpi::Comm& comm, T value) {
+    const std::vector<T> all = comm.allgather(value);
+    return std::accumulate(all.begin(), all.end(), T{});
+}
+
 // ----------------------------------------------------------- global queue
 
 TEST(GlobalQueueTest, StaticHandsOutExactlyOneChunkPerNode) {
@@ -33,10 +41,9 @@ TEST(GlobalQueueTest, StaticHandsOutExactlyOneChunkPerNode) {
         while (auto c = q.try_acquire()) {
             mine += c->size;
         }
-        const auto total = ctx.world().allreduce(mine, minimpi::ReduceOp::Sum);
+        const auto total = sum_over(ctx.world(), mine);
         EXPECT_EQ(total, 1000);
-        const auto chunks =
-            ctx.world().allreduce(q.acquired(), minimpi::ReduceOp::Sum);
+        const auto chunks = sum_over(ctx.world(), q.acquired());
         EXPECT_EQ(chunks, 2);  // STATIC at level 1: one chunk per *node*
         q.free();
     });
@@ -124,7 +131,7 @@ TEST(LocalQueueTest, PushPopProtocolWithGssSubChunks) {
         while (auto sc = q.try_pop()) {
             mine += sc->end - sc->begin;
         }
-        const auto rest = ctx.world().allreduce(mine, minimpi::ReduceOp::Sum);
+        const auto rest = sum_over(ctx.world(), mine);
         EXPECT_EQ(rest, 64 - 16);
         EXPECT_FALSE(q.has_pending());
         q.free();
@@ -204,10 +211,9 @@ TEST(LocalQueueTest, SlowRefillerInFlightKeepsPeersAliveAndLosesNoIterations) {
             }
             std::this_thread::yield();
         }
-        const auto total = ctx.world().allreduce(mine, minimpi::ReduceOp::Sum);
+        const auto total = sum_over(ctx.world(), mine);
         EXPECT_EQ(total, kChunk);  // no rank left early, nothing lost
-        const auto non_refiller =
-            ctx.world().allreduce(ctx.rank() == 0 ? 0 : mine, minimpi::ReduceOp::Sum);
+        const auto non_refiller = sum_over(ctx.world(), ctx.rank() == 0 ? 0 : mine);
         EXPECT_GT(non_refiller, 0);  // peers stayed alive to take work
         q.free();
     });

@@ -1,19 +1,24 @@
 /// \file test_transport.cpp
 /// The transport seam: HDLS_TRANSPORT selection and strict env errors,
-/// shm mailbox semantics (non-overtaking order, chained large payloads,
-/// backpressure, the 1 MB Resource cap), shm window atomics, the absolute
-/// 64-byte segment-alignment guarantee on both transports, replay parity
-/// of the hierarchical scheduler across transports, and the peer-failure
-/// regressions: abort-polled epoch acquisition, epoch
-/// release on local unwind, all-or-nothing lock_all, and abort-safe
-/// Window::free.
+/// the collective lane (exact key matching on both mailboxes; on shm
+/// back-to-back collectives, chained large payloads, backpressure, the
+/// 1 MB Resource cap), shm window atomics, the absolute 64-byte
+/// segment-alignment guarantee on both transports, replay parity of the
+/// hierarchical scheduler across transports, and the peer-failure
+/// regressions: ranks parked in collectives and abort-polled epoch
+/// acquisition observe a peer failure, epochs are released on local
+/// unwind, and Window::free is abort-safe.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <optional>
@@ -39,7 +44,6 @@ using minimpi::Context;
 using minimpi::Error;
 using minimpi::ErrorCode;
 using minimpi::LockType;
-using minimpi::ReduceOp;
 using minimpi::Runtime;
 using minimpi::Topology;
 using minimpi::TopologyLevel;
@@ -75,55 +79,79 @@ TEST(TransportEnvTest, NamesRoundTrip) {
 
 // ------------------------------------------------------------ shm smoke ----
 
-TEST(ShmTransportTest, PointToPointIsNonOvertaking) {
-    Runtime::run(2, TransportKind::Shm, [](Context& ctx) {
+TEST(MailboxTest, MatchTakesTheRequestedKeyOnBothTransports) {
+    // A receive takes the envelope with the key it asks for, whatever is
+    // queued ahead of it: here one sender's envelopes of two rounds of two
+    // successive collectives arrive out of consumption order.
+    const std::vector<std::pair<int, std::uint64_t>> pushed = {{1, 2}, {0, 2}, {0, 1}};
+    const std::vector<std::pair<int, std::uint64_t>> taken = {{0, 1}, {0, 2}, {1, 2}};
+    for (const TransportKind kind : kBothTransports) {
+        SCOPED_TRACE(minimpi::transport_name(kind));
+        const auto transport = minimpi::detail::make_transport(kind, 2);
+        minimpi::detail::Mailbox& inbox = transport->mailbox(1);
+        const std::atomic<bool> abort{false};
+        for (std::size_t i = 0; i < pushed.size(); ++i) {
+            minimpi::detail::Envelope e;
+            e.key = {1, 0, pushed[i].first, pushed[i].second};
+            e.payload.assign(1, static_cast<std::byte>(i));
+            inbox.push(std::move(e), abort);
+        }
+        for (const auto& [phase, cseq] : taken) {
+            const auto e = inbox.match({1, 0, phase, cseq}, abort);
+            ASSERT_EQ(e.payload.size(), 1u);
+            const auto i = std::to_integer<std::size_t>(e.payload[0]);
+            EXPECT_EQ(pushed[i], std::make_pair(phase, cseq));
+        }
+    }
+}
+
+TEST(ShmTransportTest, BackToBackCollectivesMatchBySource) {
+    // Envelopes from several senders and successive collectives interleave
+    // in one mailbox; every receive must take the one from the rank it
+    // waits for.
+    Runtime::run(4, TransportKind::Shm, [](Context& ctx) {
         const Comm& w = ctx.world();
-        constexpr int kMessages = 200;
-        if (ctx.rank() == 0) {
-            for (int i = 0; i < kMessages; ++i) {
-                w.send(i, 1, /*tag=*/7);
+        for (int i = 0; i < 200; ++i) {
+            const auto all = w.allgather(1000 * i + ctx.rank());
+            ASSERT_EQ(all.size(), 4u);
+            for (int r = 0; r < 4; ++r) {
+                ASSERT_EQ(all[static_cast<std::size_t>(r)], 1000 * i + r) << "collective " << i;
             }
-        } else {
-            for (int i = 0; i < kMessages; ++i) {
-                int got = -1;
-                const auto st = w.recv(got, 0, 7);
-                EXPECT_EQ(got, i) << "messages overtook each other";
-                EXPECT_EQ(st.source, 0);
+            if (i % 3 == 0) {
+                w.barrier();
             }
         }
     });
 }
 
 TEST(ShmTransportTest, LargePayloadsChainContinuationSlots) {
+    // Several slots worth of payload per rank, deliberately not a multiple
+    // of the slot size; the broadcast step carries twice that.
+    constexpr std::size_t kWords =
+        (3 * minimpi::detail::kShmMaxPayload + 123) / sizeof(std::int64_t);
     Runtime::run(2, TransportKind::Shm, [](Context& ctx) {
-        const Comm& w = ctx.world();
-        // Several slots worth of payload, deliberately not a multiple of
-        // the slot size.
-        const std::size_t n = (3 * minimpi::detail::kShmMaxPayload + 123) / sizeof(std::int64_t);
-        if (ctx.rank() == 0) {
-            std::vector<std::int64_t> out(n);
-            std::iota(out.begin(), out.end(), std::int64_t{1});
-            w.send(std::span<const std::int64_t>(out), 1);
-        } else {
-            std::vector<std::int64_t> in(n, 0);
-            (void)w.recv(std::span<std::int64_t>(in), 0);
-            for (std::size_t i = 0; i < n; ++i) {
-                ASSERT_EQ(in[i], static_cast<std::int64_t>(i + 1));
+        std::array<std::int64_t, kWords> mine{};
+        std::iota(mine.begin(), mine.end(), std::int64_t{1} + ctx.rank());
+        const auto all = ctx.world().allgather(mine);
+        for (int r = 0; r < 2; ++r) {
+            for (std::size_t i = 0; i < kWords; ++i) {
+                ASSERT_EQ(all[static_cast<std::size_t>(r)][i],
+                          static_cast<std::int64_t>(i + 1) + r);
             }
         }
     });
 }
 
 TEST(ShmTransportTest, OversizedMessageThrowsResource) {
-    const std::size_t cap = minimpi::detail::kShmMailboxSlots * minimpi::detail::kShmMaxPayload;
+    constexpr std::size_t kCap =
+        minimpi::detail::kShmMailboxSlots * minimpi::detail::kShmMaxPayload;
+    using Huge = std::array<std::byte, kCap + 1>;
     try {
-        Runtime::run(2, TransportKind::Shm, [cap](Context& ctx) {
-            if (ctx.rank() == 0) {
-                const std::vector<std::byte> huge(cap + 1);
-                ctx.world().send_bytes(huge.data(), huge.size(), 1, 0);
-            }
-            // rank 1 returns immediately; it must not be required to post a
-            // receive for the send to fail.
+        Runtime::run(2, TransportKind::Shm, [](Context& ctx) {
+            // Rank 1's gather contribution cannot fit the root's slot
+            // table: its push must fail (rank 0 unwinds with Aborted).
+            const auto mine = std::make_unique<Huge>();
+            (void)ctx.world().allgather(*mine);
         });
         FAIL() << "expected ErrorCode::Resource";
     } catch (const Error& e) {
@@ -132,27 +160,39 @@ TEST(ShmTransportTest, OversizedMessageThrowsResource) {
 }
 
 TEST(ShmTransportTest, BackpressureBlocksAndDrains) {
-    // Far more in-flight messages than slots: the sender must block on the
+    // Far more in-flight envelopes than slots: the sender must block on the
     // full mailbox and resume as the receiver drains, without deadlock.
-    Runtime::run(2, TransportKind::Shm, [](Context& ctx) {
-        const Comm& w = ctx.world();
-        const int kMessages = static_cast<int>(minimpi::detail::kShmMailboxSlots) * 4;
-        if (ctx.rank() == 0) {
-            for (int i = 0; i < kMessages; ++i) {
-                w.send(i, 1);
-            }
-        } else {
-            // Let the sender hit the slot limit before draining.
-            std::this_thread::sleep_for(std::chrono::milliseconds(20));
-            std::int64_t sum = 0;
-            for (int i = 0; i < kMessages; ++i) {
-                int got = -1;
-                (void)w.recv(got, 0);
-                sum += got;
-            }
-            EXPECT_EQ(sum, static_cast<std::int64_t>(kMessages) * (kMessages - 1) / 2);
+    // Collectives reach this only past kShmMailboxSlots + 1 senders to one
+    // root, so the test drives one shm mailbox directly from two threads.
+    minimpi::detail::ShmTransport transport(2);
+    minimpi::detail::Mailbox& inbox = transport.mailbox(1);
+    const std::atomic<bool> abort{false};
+    const int kMessages = static_cast<int>(minimpi::detail::kShmMailboxSlots) * 4;
+    std::atomic<int> pushed{0};
+    std::thread sender([&] {
+        for (int i = 0; i < kMessages; ++i) {
+            minimpi::detail::Envelope e;
+            e.key = {1, 0, 0, static_cast<std::uint64_t>(i)};
+            e.payload.resize(sizeof(int));
+            std::memcpy(e.payload.data(), &i, sizeof(int));
+            inbox.push(std::move(e), abort);
+            pushed.fetch_add(1, std::memory_order_release);
         }
     });
+    // Let the sender hit the slot limit before draining.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_LE(pushed.load(std::memory_order_acquire),
+              static_cast<int>(minimpi::detail::kShmMailboxSlots));
+    std::int64_t sum = 0;
+    for (int i = 0; i < kMessages; ++i) {
+        const auto e = inbox.match({1, 0, 0, static_cast<std::uint64_t>(i)}, abort);
+        int got = -1;
+        std::memcpy(&got, e.payload.data(), sizeof(int));
+        EXPECT_EQ(got, i);
+        sum += got;
+    }
+    sender.join();
+    EXPECT_EQ(sum, static_cast<std::int64_t>(kMessages) * (kMessages - 1) / 2);
 }
 
 TEST(ShmTransportTest, CollectivesAndWindowAtomicsAgree) {
@@ -160,7 +200,7 @@ TEST(ShmTransportTest, CollectivesAndWindowAtomicsAgree) {
     topo.ranks_per_node = 2;
     Runtime::run(4, topo, TransportKind::Shm, [](Context& ctx) {
         const Comm& w = ctx.world();
-        EXPECT_EQ(w.allreduce<std::int64_t>(ctx.rank() + 1, ReduceOp::Sum), 10);
+        EXPECT_EQ(w.allgather(ctx.rank() + 1), (std::vector<int>{1, 2, 3, 4}));
 
         Window win =
             Window::allocate_shared(w, ctx.rank() == 0 ? sizeof(std::int64_t) : 0);
@@ -170,7 +210,7 @@ TEST(ShmTransportTest, CollectivesAndWindowAtomicsAgree) {
         w.barrier();
         constexpr int kUpdates = 500;
         for (int i = 0; i < kUpdates; ++i) {
-            (void)win.fetch_and_op<std::int64_t>(1, 0, 0, minimpi::AccumulateOp::Sum);
+            (void)win.fetch_add<std::int64_t>(1, 0, 0);
         }
         for (int i = 0; i < kUpdates; ++i) {
             (void)win.atomic_update<std::int64_t>(0, 0, [](std::int64_t v) { return v + 1; });
@@ -194,10 +234,10 @@ TEST(WindowAlignmentTest, EverySegmentIs64ByteAlignedOnBothTransports) {
             Window win = Window::allocate_shared(
                 w, static_cast<std::size_t>(ctx.rank()) * 17 + 1);
             for (int r = 0; r < w.size(); ++r) {
-                const auto [ptr, bytes] = win.shared_query(r);
-                EXPECT_EQ(reinterpret_cast<std::uintptr_t>(ptr) % 64, 0u)
+                const auto segment = win.shared_span<std::byte>(r);
+                EXPECT_EQ(reinterpret_cast<std::uintptr_t>(segment.data()) % 64, 0u)
                     << "segment of rank " << r << " is not 64-byte aligned";
-                EXPECT_EQ(bytes, static_cast<std::size_t>(r) * 17 + 1);
+                EXPECT_EQ(segment.size(), static_cast<std::size_t>(r) * 17 + 1);
             }
             w.barrier();
             win.free();
@@ -264,6 +304,48 @@ TEST(PeerFailureTest, ContendedExclusiveEpochUnwindsWithAborted) {
     }
 }
 
+/// Rank 2 fails while ranks 0 and 1 are parked in a collective it never
+/// joins: rank 0 waits for its gather contribution, rank 1 for the
+/// broadcast that follows. Both must unwind with ErrorCode::Aborted while
+/// the primary error surfaces.
+void peer_failure_during_collective(TransportKind kind, bool barrier) {
+    std::atomic<int> aborted{0};
+    try {
+        Runtime::run(3, kind, [&](Context& ctx) {
+            const Comm& w = ctx.world();
+            if (ctx.rank() == 2) {
+                // Give the others time to park in the collective.
+                std::this_thread::sleep_for(std::chrono::milliseconds(30));
+                throw std::runtime_error("boom");
+            }
+            try {
+                if (barrier) {
+                    w.barrier();
+                } else {
+                    (void)w.allgather(ctx.rank());
+                }
+                ADD_FAILURE() << "a collective completed without a failed member";
+            } catch (const Error& e) {
+                EXPECT_EQ(e.code(), ErrorCode::Aborted);
+                aborted.fetch_add(1);
+                throw;
+            }
+        });
+        FAIL() << "the primary exception must propagate";
+    } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "boom");
+    }
+    EXPECT_EQ(aborted.load(), 2);
+}
+
+TEST(PeerFailureTest, RanksParkedInCollectivesObserveAbort) {
+    for (const TransportKind kind : kBothTransports) {
+        SCOPED_TRACE(minimpi::transport_name(kind));
+        peer_failure_during_collective(kind, /*barrier=*/true);
+        peer_failure_during_collective(kind, /*barrier=*/false);
+    }
+}
+
 TEST(PeerFailureTest, PendingAtomicUpdateRequestObservesAbort) {
     try {
         Runtime::run(2, TransportKind::Threads, [](Context& ctx) {
@@ -273,10 +355,10 @@ TEST(PeerFailureTest, PendingAtomicUpdateRequestObservesAbort) {
             if (ctx.rank() == 1) {
                 throw std::runtime_error("boom");
             }
-            // Wait for the failure, then drive a fresh request: its next
-            // completion attempt must observe the abort, not spin.
-            int dummy = 0;
-            EXPECT_THROW((void)w.recv(dummy, 1), Error);
+            // Wait for the failure in a barrier rank 1 never joins, then
+            // drive a fresh request: its next completion attempt must
+            // observe the abort, not spin.
+            EXPECT_THROW(w.barrier(), Error);
             auto req = win.start_atomic_update<std::int64_t>(
                 0, 0, [](std::int64_t v) { return v + 1; });
             try {
@@ -335,37 +417,6 @@ TEST(EpochOwnershipTest, CopiesDoNotInheritEpochsMovesDo) {
 
         moved.free();
     });
-}
-
-TEST(EpochOwnershipTest, LockAllRollsBackOnFailure) {
-    for (const TransportKind kind : kBothTransports) {
-        SCOPED_TRACE(minimpi::transport_name(kind));
-        Runtime::run(4, kind, [](Context& ctx) {
-            const Comm& w = ctx.world();
-            Window win = Window::allocate_shared(w, 8);
-            if (ctx.rank() == 0) {
-                // A pre-held epoch on target 2 makes lock_all fail midway
-                // (nested epoch on the same target from one handle).
-                win.lock(LockType::Shared, 2);
-                EXPECT_THROW(win.lock_all(), Error);
-                // All-or-nothing: the epochs lock_all opened on targets 0
-                // and 1 must have been rolled back, so a fresh handle can
-                // take them exclusively without contention.
-                Window probe = win;
-                probe.lock(LockType::Exclusive, 0);
-                probe.lock(LockType::Exclusive, 1);
-                probe.unlock(0);
-                probe.unlock(1);
-                win.unlock(2);
-                // ...and this handle's own epoch table is consistent: a
-                // full lock_all now succeeds.
-                win.lock_all();
-                win.unlock_all();
-            }
-            w.barrier();
-            win.free();
-        });
-    }
 }
 
 TEST(EpochOwnershipTest, FreeIsAbortSafe) {
