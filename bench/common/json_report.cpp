@@ -70,7 +70,10 @@ void append_string_object(std::string& out,
         if (i > 0) {
             out += ",";
         }
-        out += "\"" + json_escape(kv[i].first) + "\":\"" + json_escape(kv[i].second) + "\"";
+        // Append, not `"\"" + std::string`: GCC 12 at -O3 reports a false
+        // -Wrestrict on operator+(const char*, std::string&&).
+        out += '"';
+        out += json_escape(kv[i].first) + "\":\"" + json_escape(kv[i].second) + "\"";
     }
     out += "}";
 }
@@ -156,7 +159,8 @@ std::string JsonReport::render() const {
             }
             first = false;
             const util::Summary s = util::summarize(values);
-            out += "\"" + json_escape(metric) + "\":{\"count\":" + std::to_string(s.count) +
+            out += '"';  // append first: see append_string_object
+            out += json_escape(metric) + "\":{\"count\":" + std::to_string(s.count) +
                    ",\"median\":" + number(s.median) + ",\"mean\":" + number(s.mean) +
                    ",\"stddev\":" + number(s.stddev) + ",\"min\":" + number(s.min) +
                    ",\"max\":" + number(s.max) + ",\"values\":[";

@@ -1,8 +1,8 @@
 /// \file metrics_dashboard.cpp
 /// ASCII live view of the always-on runtime metrics: runs an imbalanced
 /// hierarchical loop in the background and renders one dashboard frame per
-/// sampler tick — per-level acquire/steal rates, prefetch hit rate,
-/// histogram sparklines and the watchdog state.
+/// sampler tick — per-level acquire/steal rates, histogram sparklines and
+/// the watchdog state.
 ///
 ///   $ ./metrics_dashboard                       # live until the run ends
 ///   $ ./metrics_dashboard --frames 3            # bounded (CI smoke)
@@ -112,15 +112,6 @@ void render_frame(std::ostream& os, const Snapshot& cur, const Snapshot& prev, d
         std::snprintf(line, sizeof(line), "  %5d  %10.1f  %8.1f  %5.1f%%  %8.1f   ", level,
                       acq, steals, steal_pct, pops);
         os << line << (lat != nullptr ? sparkline(lat->buckets) : "(empty)") << "\n";
-    }
-    const std::uint64_t hits = counter_at(cur, "hdls_sched_prefetch_hits_total", {});
-    const std::uint64_t misses = counter_at(cur, "hdls_sched_prefetch_misses_total", {});
-    if (hits + misses > 0) {
-        char line[64];
-        std::snprintf(line, sizeof(line), "  prefetch hit rate: %.1f%%\n",
-                      100.0 * static_cast<double>(hits) /
-                          static_cast<double>(hits + misses));
-        os << line;
     }
     if (const SnapshotEntry* exec = cur.find("hdls_exec_chunk_ns")) {
         os << "  chunk exec (log2 ns):      " << sparkline(exec->buckets) << "  count="

@@ -35,7 +35,7 @@ int main() {
     bool drill = false;
     try {
         // The program-scope knobs (HDLS_SCHEDULE, HDLS_TOPOLOGY,
-        // HDLS_INTER_BACKEND, HDLS_PREFETCH, HDLS_TRACE) override the
+        // HDLS_INTER_BACKEND, HDLS_TRACE) override the
         // defaults above. Malformed values throw — fix the spec rather
         // than silently measuring defaults.
         cfg = core::config_from_env(cfg);

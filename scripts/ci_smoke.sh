@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Smoke-runs the built examples and benches end to end: the kernel,
-# hierarchy, prefetch, transport, schedule-knob and metrics guards of the
+# hierarchy, transport, schedule-knob and metrics guards of the
 # CI build-and-test job. Every bad knob value must fail, not fall back.
 #
 # Usage (from anywhere, after `cmake --build build`):
@@ -80,17 +80,6 @@ HDLS_INTER_BACKEND=sharded ./build/trace_explorer \
 python3 -c "import json; json.load(open('trace-depth3-sharded.json'))"
 ./build/bench_ablation_hierarchy_depth --scale 0.02 > /dev/null
 
-# Prefetch guard: the examples must run end to end with the
-# double-buffered slot enabled, flat and deep, both backends.
-echo "== Smoke-run with prefetching"
-HDLS_PREFETCH=1 ./build/quickstart > /dev/null
-HDLS_PREFETCH=1 HDLS_INTER_BACKEND=sharded ./build/quickstart > /dev/null
-HDLS_PREFETCH=1 HDLS_TOPOLOGY=racks=2,nodes=2,cores=2 \
-  ./build/quickstart > /dev/null
-HDLS_PREFETCH=1 ./build/trace_explorer --iterations 300 --wpn 2 \
-  --format chrome --out trace-prefetch.json
-python3 -c "import json; json.load(open('trace-prefetch.json'))"
-
 # Transport guard: the examples and one ablation must run end to end
 # on the shared-memory transport, and a bad knob value must fail
 # loudly instead of silently falling back to threads.
@@ -100,8 +89,7 @@ HDLS_TRANSPORT=shm HDLS_INTER_BACKEND=sharded \
   ./build/quickstart > /dev/null
 HDLS_TRANSPORT=shm HDLS_TOPOLOGY=racks=2,nodes=2,cores=2 \
   ./build/quickstart > /dev/null
-HDLS_TRANSPORT=shm HDLS_PREFETCH=1 ./build/quickstart > /dev/null
-HDLS_TRANSPORT=shm ./build/bench_ablation_prefetch --scale 0.02 \
+HDLS_TRANSPORT=shm ./build/bench_ablation_shard_contention --scale 0.02 \
   > /dev/null
 if HDLS_TRANSPORT=sockets ./build/quickstart > /dev/null 2>&1; then
   echo "HDLS_TRANSPORT=sockets must fail, not fall back" >&2

@@ -120,7 +120,7 @@ private:
                                            const PsiaConfig& cfg);
 
 /// Same, with the intra-chunk software prefetch explicitly on or off (the
-/// three-argument overload uses the HDLS_PREFETCH-style default: on).
+/// three-argument overload prefetches).
 [[nodiscard]] SpinImage compute_spin_image(const PointCloud& cloud, std::size_t center,
                                            const PsiaConfig& cfg, bool use_prefetch);
 

@@ -249,8 +249,6 @@ constexpr KnobRow kKnobs[] = {
     {"HDLS_INTER_BACKEND", "centralized | sharded", "`centralized`",
      "backend for interior levels (root queue + relays)", KnobScope::Program,
      into<&EnvKnobs::inter_backend, parse_choice<dls::inter_backend_from_string>>},
-    {"HDLS_PREFETCH", kBool, "`0`", "double-buffered asynchronous chunk prefetching",
-     KnobScope::Program, into<&EnvKnobs::prefetch, parse_bool>},
     {"HDLS_TRACE", kBool, "`0`",
      "chunk-event tracing into per-worker ring buffers (`trace_explorer` defaults to on)",
      KnobScope::Program, into<&EnvKnobs::trace, parse_bool>},
@@ -344,7 +342,6 @@ HierConfig config_from_env(HierConfig base) {
         base.topology = *env.topology;
     }
     base.inter_backend = env.inter_backend.value_or(base.inter_backend);
-    base.prefetch = env.prefetch.value_or(base.prefetch);
     base.trace = env.trace.value_or(base.trace);
     return base;
 }

@@ -76,7 +76,6 @@ struct EnvKnobs {
     std::optional<HierConfig> schedule;  ///< only the schedule fields are set
     std::optional<std::vector<minimpi::TopologyLevel>> topology;
     std::optional<dls::InterBackend> inter_backend;
-    std::optional<bool> prefetch;
     std::optional<bool> trace;
     // Run scope.
     minimpi::TransportKind transport = minimpi::TransportKind::Threads;
@@ -114,7 +113,7 @@ struct KnobRow {
 [[nodiscard]] EnvKnobs read_env(KnobScope scope);
 
 /// The program-scope knobs (HDLS_SCHEDULE, HDLS_TOPOLOGY,
-/// HDLS_INTER_BACKEND, HDLS_PREFETCH, HDLS_TRACE) applied over the
+/// HDLS_INTER_BACKEND, HDLS_TRACE) applied over the
 /// program's own configuration: a set knob replaces the matching fields of
 /// `base` (HDLS_SCHEDULE only the schedule: techniques, levels,
 /// min_chunk), an unset one keeps them. Programs apply their explicit CLI

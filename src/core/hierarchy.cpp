@@ -59,61 +59,16 @@ ResolvedHierarchy resolve_hierarchy(const ClusterShape& shape, const HierConfig&
                                     std::to_string(shape.total_workers()) + " workers");
     }
 
-    const int depth = rh.depth();
-    if (cfg.levels.empty()) {
-        rh.levels.assign(static_cast<std::size_t>(depth),
-                         LevelConfig{cfg.inter, cfg.inter_backend});
-        rh.levels.back() = LevelConfig{cfg.intra, std::nullopt};
-    } else {
-        if (static_cast<int>(cfg.levels.size()) != depth) {
-            throw std::invalid_argument(
-                "levels: got " + std::to_string(cfg.levels.size()) +
-                " level configs for a depth-" + std::to_string(depth) + " topology");
-        }
-        rh.levels = cfg.levels;
-        for (int d = 0; d < depth - 1; ++d) {
-            auto& lc = rh.levels[static_cast<std::size_t>(d)];
-            if (!lc.backend) {
-                lc.backend = cfg.inter_backend;
-            }
-        }
-        rh.levels.back().backend.reset();
-    }
-
     // Per-level capability checks + sharded fallback resolution, so the
     // plan (and every report quoting it) states what actually runs.
-    {
-        auto& root = rh.levels.front();
-        if (!dls::supports_internode(root.technique)) {
-            throw std::invalid_argument(
-                std::string("level 0 technique ") +
-                std::string(dls::technique_name(root.technique)) +
-                " has neither a step-indexed nor a remaining-count-based distributed form");
-        }
-        if (root.backend == dls::InterBackend::Sharded &&
-            !dls::supports_sharded(root.technique)) {
-            util::log_warn("sharded backend cannot serve ",
-                           dls::technique_name(root.technique),
-                           " at level 0; falling back to the centralized queue");
-            root.backend = dls::InterBackend::Centralized;
-        }
-    }
-    for (int d = 1; d < depth - 1; ++d) {
-        auto& lc = rh.levels[static_cast<std::size_t>(d)];
-        if (lc.backend == dls::InterBackend::Sharded && !dls::supports_sharded(lc.technique)) {
-            util::log_warn("sharded backend cannot serve ",
-                           dls::technique_name(lc.technique), " at ", level_label(rh, d),
-                           "; falling back to the centralized relay");
-            lc.backend = dls::InterBackend::Centralized;
-        }
-        if (lc.backend == dls::InterBackend::Centralized &&
-            !dls::supports_step_indexed(lc.technique)) {
-            throw std::invalid_argument(
-                level_label(rh, d) + " technique " +
-                std::string(dls::technique_name(lc.technique)) +
-                " cannot relay parent chunks (needs a step-indexed or sharded form)");
-        }
-    }
+    rh.levels = dls::resolve_level_plan(
+        rh.depth(), cfg.levels, LevelConfig{cfg.inter, cfg.inter_backend}, cfg.intra, "levels: ",
+        [&](int d) { return level_label(rh, d); },
+        [&](int d, dls::Technique t) {
+            util::log_warn("sharded backend cannot serve ", dls::technique_name(t), " at ",
+                           level_label(rh, d), "; falling back to the centralized ",
+                           d == 0 ? "queue" : "relay");
+        });
     return rh;
 }
 
@@ -164,15 +119,6 @@ Hierarchy build_hierarchy(const minimpi::Comm& world, std::int64_t total_iterati
         parent = composed.get();
         h.queues_.push_back(std::move(queue));
         h.composed_.push_back(std::move(composed));
-    }
-    // Asynchronous prefetching lives on the chain's top: that is the
-    // handle whose acquisitions sit between the caller's chunk executions
-    // (deeper levels are only reached through it). Root-only chains (the
-    // depth-2 MPI+OpenMP master) have no slot to buffer in — the funneled
-    // master cannot overlap its own worksharing — so prefetch is a no-op
-    // there.
-    if (cfg.prefetch && !h.composed_.empty()) {
-        h.composed_.back()->set_prefetch(true);
     }
     return h;
 }

@@ -181,8 +181,7 @@ std::vector<WorkerStats> run_hybrid_rank(minimpi::Context& ctx, int threads_per_
                                     static_cast<std::uint64_t>(thread_busy * 1e9));
                                 metrics::worker_beat(
                                     ctx.rank() * threads_per_node + thread_id, pull_level,
-                                    b, /*prefetch_outstanding=*/false, thread_busy,
-                                    hooks.watchdog);
+                                    b, thread_busy, hooks.watchdog);
                                 if (thread_tracer.enabled()) {
                                     const double end = thread_tracer.now();
                                     thread_tracer.instant(trace::EventKind::ChunkExecEnd, end,

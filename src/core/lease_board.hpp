@@ -68,7 +68,7 @@ public:
     /// Collective over `comm` (one board segment per rank). `k` is the
     /// deadline multiplier: deadline = now + max(k x chunk-time EMA, a
     /// 100 ms floor). `slots` bounds the rank's concurrently outstanding
-    /// leases (current chunk + prefetch slot use two; 8 leaves headroom).
+    /// leases (the current chunk uses one; 8 leaves headroom).
     LeaseBoard(const minimpi::Comm& comm, double k, int slots = 8);
 
     LeaseBoard(const LeaseBoard&) = delete;

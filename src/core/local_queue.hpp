@@ -67,18 +67,6 @@ public:
     /// peers do not terminate while a chunk is on its way.
     virtual void begin_refill() = 0;
 
-    /// Nonblocking begin_refill(): posts the in-flight announcement as a
-    /// request-based window op (Window::start_atomic_update) and returns
-    /// the handle. The caller must complete it — wait() — before touching
-    /// the parent level (the announcement-precedes-parent ordering of the
-    /// termination protocol), but may overlap anything else first; that is
-    /// the prefetcher's issue path. The default falls back to the blocking
-    /// announcement and returns an already-complete request.
-    [[nodiscard]] virtual minimpi::AtomicUpdateRequest<std::int64_t> begin_refill_async() {
-        begin_refill();
-        return {};
-    }
-
     /// Withdraw the announcement (the parent turned out to be empty).
     virtual void end_refill() = 0;
 
@@ -156,13 +144,6 @@ public:
     /// peers do not terminate while a chunk is on its way.
     void begin_refill() override {
         (void)window_.fetch_add<std::int64_t>(1, kHost, kInflight);
-    }
-
-    /// The announcement as a nonblocking window op (the prefetch issue
-    /// path): +1 on the in-flight counter, completed via the request.
-    [[nodiscard]] minimpi::AtomicUpdateRequest<std::int64_t> begin_refill_async() override {
-        return window_.start_atomic_update<std::int64_t>(
-            kHost, kInflight, [](std::int64_t v) { return v + 1; });
     }
 
     /// Withdraw the announcement (the parent turned out to be empty).

@@ -139,8 +139,8 @@ WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n, const HierCo
     bool cancelled = false;
     while (const auto sub = source.try_acquire()) {
         // Chaos seam: fail-stop at the first own chunk whose start crosses
-        // the progress trigger. The chunk just acquired (and anything in
-        // the prefetch slot) stays leased-but-ACTIVE — exactly the state a
+        // the progress trigger. The chunk just acquired stays
+        // leased-but-ACTIVE — exactly the state a
         // machine death leaves behind — and survivors reclaim it. The
         // victim stops beating here and only rejoins for the collective
         // teardown barriers (the in-process fail-stop approximation).
@@ -195,10 +195,8 @@ WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n, const HierCo
                 std::chrono::duration_cast<std::chrono::nanoseconds>(b1 - b0).count()));
         }
         // Heartbeat for the stall watchdog (a relaxed pointer load when
-        // none is installed). Reading the prefetch slot is safe here: this
-        // thread is the only one that touches it.
-        metrics::worker_beat(world.rank(), source.level(), sub->start,
-                             source.has_prefetched(), busy, hooks.watchdog);
+        // none is installed).
+        metrics::worker_beat(world.rank(), source.level(), sub->start, busy, hooks.watchdog);
         if (tracing) {
             tracer.instant(trace::EventKind::ChunkExecEnd, tracer.now(), sub->start,
                            sub->start + sub->size);
@@ -253,8 +251,7 @@ WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n, const HierCo
                     m.exec_iterations->inc(static_cast<std::uint64_t>(rc->size));
                 }
             }
-            metrics::worker_beat(world.rank(), source.level(), -1,
-                                 source.has_prefetched(), 0.0, hooks.watchdog);
+            metrics::worker_beat(world.rank(), source.level(), -1, 0.0, hooks.watchdog);
             std::this_thread::sleep_for(std::chrono::microseconds(200));
         }
     }

@@ -51,9 +51,6 @@ void ExecutionReport::print(std::ostream& os) const {
     if (inter_backend == dls::InterBackend::Sharded) {
         os << " (" << dls::inter_backend_name(inter_backend) << ")";
     }
-    if (prefetch) {
-        os << " [prefetch]";
-    }
     if (transport != minimpi::TransportKind::Threads) {
         os << " {" << minimpi::transport_name(transport) << "}";
     }
@@ -92,17 +89,9 @@ void ExecutionReport::print(std::ostream& os) const {
     if (!metrics.empty()) {
         const std::uint64_t acquires = metrics.counter_total("hdls_sched_acquires_total");
         const std::uint64_t steals = metrics.counter_total("hdls_sched_steals_total");
-        const std::uint64_t hits = metrics.counter_total("hdls_sched_prefetch_hits_total");
-        const std::uint64_t misses =
-            metrics.counter_total("hdls_sched_prefetch_misses_total");
         os << "  metrics: acquires=" << acquires << " steals=" << steals
            << " lock_retries=" << metrics.counter_total("hdls_window_lock_retries_total")
            << " cas_retries=" << metrics.counter_total("hdls_window_cas_retries_total");
-        if (hits + misses > 0) {
-            os << " prefetch_hit_rate="
-               << util::format_double(
-                      static_cast<double>(hits) / static_cast<double>(hits + misses), 2);
-        }
         const std::uint64_t stalls = metrics.counter_total("hdls_watchdog_stalls_total");
         if (stalls > 0) {
             os << " WATCHDOG_STALLS=" << stalls;

@@ -37,8 +37,6 @@ struct ExecutionReport {
     /// Which minimpi substrate carried the run (threads unless the config
     /// or HDLS_TRANSPORT selected shm).
     minimpi::TransportKind transport = minimpi::TransportKind::Threads;
-    /// Whether asynchronous chunk prefetching was enabled for the run.
-    bool prefetch = false;
     /// The SIMD policy the run requested (HDLS_SIMD / HierConfig::simd)
     /// and the backend it resolved to on this host.
     simd::SimdMode simd_mode = simd::SimdMode::Auto;

@@ -196,10 +196,6 @@ ExecutionReport run_hierarchical(const ClusterShape& shape, Approach approach,
     report.inter_backend =
         rh.levels.front().backend.value_or(dls::InterBackend::Centralized);
     report.transport = transport;
-    // Report what actually ran: the depth-2 MPI+OpenMP chain is root-only
-    // (no composed source to buffer in), so the knob is a no-op there.
-    report.prefetch =
-        cfg.prefetch && (approach == Approach::MpiMpi || rh.depth() > 2);
     report.simd_mode = *effective.simd;
     report.simd_backend = simd::active_backend();
     report.pin = pin;

@@ -85,13 +85,6 @@ public:
         (void)window_.fetch_add<std::int64_t>(1, kHost, kInflight);
     }
 
-    /// The announcement as a nonblocking window op (the prefetch issue
-    /// path): +1 on the in-flight counter, completed via the request.
-    [[nodiscard]] minimpi::AtomicUpdateRequest<std::int64_t> begin_refill_async() override {
-        return window_.start_atomic_update<std::int64_t>(
-            kHost, kInflight, [](std::int64_t v) { return v + 1; });
-    }
-
     void end_refill() override {
         (void)window_.fetch_add<std::int64_t>(-1, kHost, kInflight);
     }

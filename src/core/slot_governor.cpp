@@ -93,7 +93,7 @@ SlotGovernor::JobShare SlotGovernor::share(std::uint64_t job) const {
     s.entitlement = j.entitlement;
     s.running = j.running;
     s.occupancy_seconds = j.occupancy_seconds + j.running * dt;
-    s.entitled_seconds = j.entitled_seconds + j.entitlement * dt;
+    s.entitled_seconds = j.entitled_seconds + j.usable_entitlement() * dt;
     s.remaining = j.remaining;
     s.completed = j.completed;
     return s;
@@ -120,6 +120,7 @@ bool SlotGovernor::begin_chunk(std::uint64_t job, int /*rank*/) {
     }
     advance_locked(Clock::now());
     ++it->second.running;
+    it->second.begun = true;
     return true;
 }
 
@@ -134,6 +135,9 @@ void SlotGovernor::end_chunk(std::uint64_t job, int /*rank*/, std::int64_t itera
     j.running = std::max(j.running - 1, 0);
     j.completed += iterations;
     j.remaining = std::max<std::int64_t>(j.remaining - iterations, 0);
+    if (iterations > 0) {
+        j.last_chunk = iterations;
+    }
     // The service's refill boundary: every completed chunk shrinks this
     // job's remaining-work weight, so the apportionment drifts toward
     // jobs with more work left (and newly arrived short jobs) instead of
@@ -147,10 +151,21 @@ void SlotGovernor::advance_locked(Clock::time_point now) {
     if (dt > 0.0) {
         for (auto& [id, j] : jobs_) {
             j.occupancy_seconds += j.running * dt;
-            j.entitled_seconds += j.entitlement * dt;
+            j.entitled_seconds += j.usable_entitlement() * dt;
         }
     }
     last_advance_ = now;
+}
+
+int SlotGovernor::Job::usable_entitlement() const noexcept {
+    if (!begun) {
+        return 0;
+    }
+    if (last_chunk <= 0) {
+        return entitlement;
+    }
+    const std::int64_t chunks_left = (remaining + last_chunk - 1) / last_chunk;
+    return static_cast<int>(std::min<std::int64_t>(entitlement, chunks_left));
 }
 
 void SlotGovernor::apportion_locked() {

@@ -24,8 +24,11 @@
 ///
 /// Fairness is measured, not assumed: the governor integrates each job's
 /// occupancy (slot-seconds actually held) and entitlement (slot-seconds
-/// it was entitled to) over time, so tests and the multitenancy bench can
-/// assert measured share ≈ priority-weighted entitlement directly.
+/// it was entitled to and could use) over time, so tests and the
+/// multitenancy bench can assert measured share ≈ priority-weighted
+/// entitlement directly. The integrated entitlement is capped by the
+/// job's outstanding demand: nothing while its run starts up, and in its
+/// tail no more slots than the chunks it has left.
 
 #include <chrono>
 #include <condition_variable>
@@ -67,7 +70,7 @@ public:
         int entitlement = 0;            ///< slots currently apportioned
         int running = 0;                ///< slots currently held
         double occupancy_seconds = 0;   ///< ∫ running dt (slot-seconds used)
-        double entitled_seconds = 0;    ///< ∫ entitlement dt (slot-seconds entitled)
+        double entitled_seconds = 0;    ///< ∫ min(entitlement, demand) dt
         std::int64_t remaining = 0;     ///< iterations not yet completed
         std::int64_t completed = 0;     ///< iterations completed through the gate
     };
@@ -110,12 +113,20 @@ private:
         double priority = 1.0;
         std::int64_t remaining = 1;
         std::int64_t completed = 0;
+        std::int64_t last_chunk = 0;  ///< iterations of the last completed chunk
         int entitlement = 0;
         int running = 0;
+        bool begun = false;  ///< a chunk has passed begin_chunk
         bool cancelled = false;
         double occupancy_seconds = 0.0;
         double entitled_seconds = 0.0;
         std::unique_ptr<Gate> gate;
+
+        /// The entitlement capped by the outstanding demand: none before
+        /// the first chunk begins (the run is still starting up), then the
+        /// chunks the remaining iterations make up, sized like the last
+        /// completed chunk (uncapped until one has completed).
+        [[nodiscard]] int usable_entitlement() const noexcept;
     };
 
     [[nodiscard]] bool begin_chunk(std::uint64_t job, int rank);

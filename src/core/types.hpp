@@ -83,15 +83,6 @@ struct HierConfig {
     /// cannot do this — benches reproducing the paper disable it and report
     /// "n/a" for those combinations.
     bool allow_extended_openmp_schedules = true;
-    /// Asynchronous chunk prefetching: while a worker executes its current
-    /// chunk, the next acquisition is already in flight (a double-buffered
-    /// slot on the worker's top WorkSource, filled through the nonblocking
-    /// window ops). Exact tiling is preserved — a prefetched run hands out
-    /// the same chunk multiset as a synchronous one — and the adaptive
-    /// techniques keep their feedback-flush ordering (acquisitions that
-    /// would cross a refill whose flush must see the in-flight chunk's
-    /// feedback are not prefetched). Env: HDLS_PREFETCH.
-    bool prefetch = false;
     /// Record the chunk-lifecycle event trace of the run (see src/trace/).
     /// When false (the default) the executors carry a disabled recorder and
     /// the run pays nothing; when true ExecutionReport::trace holds the

@@ -104,31 +104,18 @@ public:
           m_refills_(metrics::rt().refills[midx(level)]),
           m_acquires_(metrics::rt().acquires[midx(level - 1)]),
           m_steals_(metrics::rt().steals[midx(level - 1)]),
-          m_acquire_latency_(metrics::rt().acquire_latency_ns[midx(level - 1)]),
-          m_prefetch_hits_(metrics::rt().prefetch_hits),
-          m_prefetch_misses_(metrics::rt().prefetch_misses) {}
+          m_acquire_latency_(metrics::rt().acquire_latency_ns[midx(level - 1)]) {}
 
     /// Attaches the pre-acquire callback after construction (the feedback
     /// flush needs the fully-built chain to exist first).
     void set_before_refill(std::function<void()> fn) { before_refill_ = std::move(fn); }
 
-    /// Enables the double-buffered prefetch slot (HierConfig::prefetch):
-    /// returning a chunk also fills the slot with the *next* acquisition,
-    /// so it is in flight while the caller executes — the following
-    /// try_acquire is a constant-time slot read (a Prefetch hit). Enabled
-    /// on the chain's top source only: that is the handle whose acquire
-    /// latency sits between the caller's chunk executions. Exact tiling is
-    /// unaffected (the slot holds an already-assigned sub-chunk, consumed
-    /// before termination can be reached).
-    void set_prefetch(bool on) { prefetch_ = on; }
-    [[nodiscard]] bool prefetch_enabled() const noexcept { return prefetch_; }
-
     /// Attaches the fault-tolerance lease board (HierConfig::lease; the
     /// chain's top source only — the handle whose chunks the executor
     /// runs). Every sub-chunk is leased the moment it is carved from the
-    /// level queue — *including* prefetch-slot fills, so a chunk sitting
-    /// in the slot of a rank that dies is reclaimed like any other. The
-    /// executor completes the lease after the body (LeaseBoard::complete).
+    /// level queue, so a chunk handed to a rank that dies is reclaimed
+    /// like any other. The executor completes the lease after the body
+    /// (LeaseBoard::complete).
     void set_lease_board(LeaseBoard* board) noexcept { lease_board_ = board; }
 
     /// Fail-stop support (the chaos drill): converts every sub-chunk still
@@ -162,39 +149,9 @@ public:
         }
     }
 
+    /// Pops this level's queue, else refills it from the parent, else runs
+    /// the termination protocol.
     [[nodiscard]] std::optional<Chunk> try_acquire() override {
-        if (prefetch_ && slot_) {
-            m_prefetch_hits_->inc();
-            const Chunk chunk = *slot_;
-            slot_.reset();
-            if (tracing_) {
-                const double now = tracer_.now();
-                tracer_.record(trace::EventKind::Prefetch, now, now, 1, chunk.start,
-                               slot_fill_seconds_, level_);
-            }
-            fill_slot();
-            return chunk;
-        }
-        const auto chunk = acquire_sync();
-        if (prefetch_ && chunk) {
-            m_prefetch_misses_->inc();
-            if (tracing_) {
-                // Miss: the slot was empty and the acquisition above ran on
-                // the critical path.
-                const double now = tracer_.now();
-                tracer_.record(trace::EventKind::Prefetch, now, now, 0, chunk->start, 0.0,
-                               level_);
-            }
-            fill_slot();
-        }
-        return chunk;
-    }
-
-private:
-    /// The synchronous acquisition loop (the pre-prefetch try_acquire):
-    /// pop, else refill from the parent, else run the termination
-    /// protocol.
-    [[nodiscard]] std::optional<Chunk> acquire_sync() {
         for (;;) {
             // Termination-spin coalescing: while the parent is exhausted
             // but peers are mid-refill, the rank polls; recording every
@@ -207,8 +164,7 @@ private:
                 return chunk;
             }
             // Queue drained: this rank happens to be the fastest — refill.
-            if (const Refill refill = refill_from_parent(/*async=*/false);
-                refill.parent_had_work) {
+            if (const Refill refill = refill_from_parent(); refill.parent_had_work) {
                 if (refill.chunk) {
                     return refill.chunk;
                 }
@@ -227,32 +183,7 @@ private:
         }
     }
 
-    /// Starts the next acquisition while the caller executes the chunk
-    /// just returned (the double buffer's back side). One non-spinning
-    /// pass: pop the level queue; on empty, refill from the parent — the
-    /// in-flight announcement issued as a nonblocking window op
-    /// (begin_refill_async) and completed before the parent is touched,
-    /// per the termination protocol's ordering. Never blocks on peers: an
-    /// empty parent simply leaves the slot empty (the next try_acquire
-    /// falls back to the synchronous path, which owns the termination
-    /// protocol). When the root is adaptive (wants_feedback) the refill
-    /// boundary is NOT crossed: the next root decision must see the
-    /// feedback of the chunk whose execution this prefetch would overlap,
-    /// so only already-queued sub-chunks are prefetched and the refill
-    /// stays synchronous, after the flush — feedback-flush ordering is
-    /// exactly the synchronous run's.
-    void fill_slot() {
-        const double fill_t0 = tracing_ ? tracer_.now() : 0.0;
-        slot_ = pop_local(fill_t0, /*record_empty=*/false);
-        // An adaptive root's refill must follow the flush.
-        if (!slot_ && !parent_.wants_feedback()) {
-            slot_ = refill_from_parent(/*async=*/true).chunk;
-        }
-        if (slot_ && tracing_) {
-            slot_fill_seconds_ = tracer_.now() - fill_t0;
-        }
-    }
-
+private:
     /// Pops this level's queue, tracing a pop as a LocalPop that started
     /// at `t0` (an empty one too when `record_empty`). Every pop epoch is a
     /// LocalPop at this level; a pop that carved a sibling's shard (sharded
@@ -283,30 +214,21 @@ private:
         std::optional<Chunk> chunk;  ///< empty when peers drained the refill first
     };
 
-    /// The refill transaction shared by both paths: announce the refill
-    /// in flight, acquire a parent chunk, push it into this level's queue
-    /// and pop this rank's first sub-chunk; an exhausted parent withdraws
-    /// the announcement instead. The `async` (prefetch) announcement flies
-    /// as a nonblocking op while the trace marker and pre-acquire callback
-    /// run; it must only have *landed* before the parent is touched, per
-    /// the termination protocol's announce-before-parent ordering. While
-    /// the termination wait is open only a successful acquire is traced
-    /// (it closes the wait); the empty probes are muted.
-    [[nodiscard]] Refill refill_from_parent(bool async) {
+    /// The refill transaction: announce the refill in flight (before the
+    /// parent is touched, per the termination protocol), acquire a parent
+    /// chunk, push it into this level's queue and pop this rank's first
+    /// sub-chunk; an exhausted parent withdraws the announcement instead.
+    /// While the termination wait is open only a successful acquire is
+    /// traced (it closes the wait); the empty probes are muted.
+    [[nodiscard]] Refill refill_from_parent() {
         const bool record_probe = tracing_ && wait_start_ < 0.0;
-        minimpi::AtomicUpdateRequest<std::int64_t> announce;
-        if (async) {
-            announce = local_.begin_refill_async();
-        } else {
-            local_.begin_refill();
-        }
+        local_.begin_refill();
         if (record_probe) {
             tracer_.instant(trace::EventKind::RefillBegin, tracer_.now(), 0, 0, level_);
         }
         if (before_refill_) {
             before_refill_();
         }
-        (void)announce.wait();
         const double acq_t0 = tracing_ ? tracer_.now() : 0.0;
         const auto par_t0 = std::chrono::steady_clock::now();
         const auto chunk = parent_.try_acquire();
@@ -367,10 +289,6 @@ public:
     /// This source's depth in the hierarchy (the root is 0).
     [[nodiscard]] int level() const noexcept { return level_; }
 
-    /// True while the prefetch slot holds a chunk awaiting execution (the
-    /// stall watchdog reports it as "outstanding prefetch").
-    [[nodiscard]] bool has_prefetched() const noexcept { return slot_.has_value(); }
-
     /// Parent chunks this handle pulled down (the rank's refill count).
     [[nodiscard]] std::int64_t refills() const noexcept { return refills_; }
 
@@ -392,8 +310,8 @@ public:
 
 private:
     [[nodiscard]] Chunk as_chunk(const LevelQueue::SubChunk& sub) const {
-        // Lease before the chunk can reach the caller (or the prefetch
-        // slot): from here on a dying owner's chunk is reclaimable.
+        // Lease before the chunk can reach the caller: from here on a dying
+        // owner's chunk is reclaimable.
         if (lease_board_ != nullptr) {
             lease_board_->lease(sub.begin, sub.end - sub.begin);
         }
@@ -433,13 +351,6 @@ private:
     std::function<void()> before_refill_;
     std::int64_t refills_ = 0;
     double wait_start_ = -1.0;
-    /// Double-buffered prefetching (set_prefetch): the slot holds the next
-    /// chunk, acquired while the previous one executed; fill_seconds is
-    /// the acquisition time the slot hid off the critical path (traced on
-    /// the Prefetch hit event).
-    bool prefetch_ = false;
-    std::optional<Chunk> slot_;
-    double slot_fill_seconds_ = 0.0;
     /// Fault-tolerance lease board (null = lease mode off; see
     /// set_lease_board).
     LeaseBoard* lease_board_ = nullptr;
@@ -449,8 +360,6 @@ private:
     metrics::Counter* m_acquires_;
     metrics::Counter* m_steals_;
     metrics::Histogram* m_acquire_latency_;
-    metrics::Counter* m_prefetch_hits_;
-    metrics::Counter* m_prefetch_misses_;
 };
 
 }  // namespace hdls::core

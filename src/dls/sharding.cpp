@@ -12,6 +12,56 @@
 
 namespace hdls::dls {
 
+std::vector<LevelScheme> resolve_level_plan(
+    int depth, const std::vector<LevelScheme>& levels, const LevelScheme& inter,
+    Technique intra, std::string_view prefix,
+    const std::function<std::string(int)>& level_name,
+    const std::function<void(int, Technique)>& on_fallback) {
+    std::vector<LevelScheme> plan;
+    if (levels.empty()) {
+        plan.assign(static_cast<std::size_t>(depth), inter);
+        plan.back().technique = intra;
+    } else {
+        if (static_cast<int>(levels.size()) != depth) {
+            throw std::invalid_argument(std::string(prefix) + "got " +
+                                        std::to_string(levels.size()) +
+                                        " level configs for a depth-" + std::to_string(depth) +
+                                        " topology");
+        }
+        plan = levels;
+        for (LevelScheme& lv : plan) {
+            if (!lv.backend) {
+                lv.backend = inter.backend;
+            }
+        }
+    }
+    plan.back().backend.reset();
+
+    const auto reject = [&](int d, std::string_view why) {
+        throw std::invalid_argument(
+            std::string(prefix) + level_name(d) + " technique " +
+            std::string(technique_name(plan[static_cast<std::size_t>(d)].technique)) +
+            std::string(why));
+    };
+    if (!supports_internode(plan.front().technique)) {
+        reject(0, " has neither a step-indexed nor a remaining-count-based distributed form");
+    }
+    for (int d = 0; d < depth - 1; ++d) {
+        LevelScheme& lv = plan[static_cast<std::size_t>(d)];
+        if (lv.backend == InterBackend::Sharded && !supports_sharded(lv.technique)) {
+            if (on_fallback) {
+                on_fallback(d, lv.technique);
+            }
+            lv.backend = InterBackend::Centralized;
+        }
+        if (d > 0 && lv.backend == InterBackend::Centralized &&
+            !supports_step_indexed(lv.technique)) {
+            reject(d, " cannot relay parent chunks (needs a step-indexed or sharded form)");
+        }
+    }
+    return plan;
+}
+
 std::string_view inter_backend_name(InterBackend b) noexcept {
     switch (b) {
         case InterBackend::Centralized:

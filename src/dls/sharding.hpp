@@ -22,7 +22,9 @@
 /// tiles exactly no matter how acquisitions and steals interleave.
 
 #include <cstdint>
+#include <functional>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -48,6 +50,23 @@ struct LevelScheme {
     Technique technique = Technique::GSS;
     std::optional<InterBackend> backend;
 };
+
+/// The validated per-level plan of a depth-`depth` tree — the one level
+/// derivation behind core::resolve_hierarchy and the simulator's plan.
+/// Empty `levels` derives {inter, ..., inter, {intra}}; explicit `levels`
+/// must hold `depth` entries, and an unset interior backend inherits
+/// `inter.backend`. The leaf level never carries a backend. A sharded
+/// level whose technique has no sharded form falls back to centralized,
+/// after `on_fallback(level, technique)` (when set) has been told.
+/// Throws std::invalid_argument — the message starts with `prefix` and
+/// names level d as `level_name(d)` — on a level-count mismatch, a root
+/// technique without a distributed form, or a centralized interior level
+/// without a step-indexed form.
+[[nodiscard]] std::vector<LevelScheme> resolve_level_plan(
+    int depth, const std::vector<LevelScheme>& levels, const LevelScheme& inter,
+    Technique intra, std::string_view prefix,
+    const std::function<std::string(int)>& level_name,
+    const std::function<void(int, Technique)>& on_fallback = {});
 
 /// Parses a canonical name (case-insensitive); std::nullopt if unknown.
 [[nodiscard]] std::optional<InterBackend> inter_backend_from_string(

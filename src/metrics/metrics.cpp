@@ -229,9 +229,6 @@ RuntimeMetrics make_runtime_metrics() {
                                            "Scheduler yields taken by the backoff ladder");
     m.window_backoff_sleeps = &reg.counter("hdls_window_backoff_sleeps_total",
                                            "Timed sleeps taken by the backoff ladder");
-    m.window_requests_completed =
-        &reg.counter("hdls_window_requests_completed_total",
-                     "Nonblocking atomic-update requests completed");
 
     // Family-major: all levels of one family before the next, so the
     // snapshot (and hence the exposition file) keeps each family's label
@@ -267,10 +264,6 @@ RuntimeMetrics make_runtime_metrics() {
                            "Latency of parent acquire attempts in nanoseconds",
                            level_labels(lv));
     }
-    m.prefetch_hits = &reg.counter("hdls_sched_prefetch_hits_total",
-                                   "Acquires served from the prefetch slot");
-    m.prefetch_misses = &reg.counter("hdls_sched_prefetch_misses_total",
-                                     "Acquires that found the prefetch slot empty");
     m.termination_spins = &reg.counter("hdls_sched_termination_spins_total",
                                        "Polling rounds in the termination protocol");
 

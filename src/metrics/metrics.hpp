@@ -284,7 +284,6 @@ struct RuntimeMetrics {
     Counter* window_cas_retries;         ///< failed compare-and-swap attempts
     Counter* window_backoff_yields;      ///< Backoff ladder scheduler yields
     Counter* window_backoff_sleeps;      ///< Backoff ladder timed sleeps
-    Counter* window_requests_completed;  ///< nonblocking request completions
 
     // core — the WorkSource hierarchy, one family entry per level.
     std::array<Counter*, kMaxLevels> acquires;   ///< parent chunks pulled (owned)
@@ -292,8 +291,6 @@ struct RuntimeMetrics {
     std::array<Counter*, kMaxLevels> refills;    ///< level refill transactions
     std::array<Counter*, kMaxLevels> pops;       ///< local sub-chunk pops
     std::array<Histogram*, kMaxLevels> acquire_latency_ns;  ///< parent acquire latency
-    Counter* prefetch_hits;
-    Counter* prefetch_misses;
     Counter* termination_spins;  ///< termination-protocol polling rounds
 
     // executors.

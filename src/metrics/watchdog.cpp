@@ -41,13 +41,12 @@ void StallWatchdog::leave(int worker) noexcept {
 }
 
 void StallWatchdog::beat(int worker, int level, std::int64_t chunk_start,
-                         bool prefetch_outstanding, double chunk_seconds) noexcept {
-    beat_at(now_ns(), worker, level, chunk_start, prefetch_outstanding, chunk_seconds);
+                         double chunk_seconds) noexcept {
+    beat_at(now_ns(), worker, level, chunk_start, chunk_seconds);
 }
 
 void StallWatchdog::beat_at(std::uint64_t now, int worker, int level,
-                            std::int64_t chunk_start, bool prefetch_outstanding,
-                            double chunk_seconds) noexcept {
+                            std::int64_t chunk_start, double chunk_seconds) noexcept {
     if (worker < 0 || worker >= workers()) {
         return;
     }
@@ -64,7 +63,6 @@ void StallWatchdog::beat_at(std::uint64_t now, int worker, int level,
     }
     s.level.store(level, std::memory_order_relaxed);
     s.last_chunk_start.store(chunk_start, std::memory_order_relaxed);
-    s.prefetch_outstanding.store(prefetch_outstanding, std::memory_order_relaxed);
     s.beats.fetch_add(1, std::memory_order_relaxed);
     s.last_beat_ns.store(now, std::memory_order_relaxed);
 }
@@ -96,7 +94,6 @@ std::vector<StallWatchdog::Stall> StallWatchdog::check(std::uint64_t now) {
         st.worker = w;
         st.level = s.level.load(std::memory_order_relaxed);
         st.last_chunk_start = s.last_chunk_start.load(std::memory_order_relaxed);
-        st.prefetch_outstanding = s.prefetch_outstanding.load(std::memory_order_relaxed);
         st.silent_ns = silent;
         st.ema_ns = ema;
         st.beats = beats;
@@ -179,8 +176,7 @@ std::string StallWatchdog::format_stall(const Stall& s) {
     oss << "watchdog: worker " << s.worker << " stalled -- no progress for "
         << s.silent_ns / 1000000 << "ms (chunk-time ema " << s.ema_ns / 1000 << "us, "
         << s.beats << " beats); level=" << s.level
-        << " last_chunk_start=" << s.last_chunk_start
-        << " prefetch_outstanding=" << (s.prefetch_outstanding ? "yes" : "no");
+        << " last_chunk_start=" << s.last_chunk_start;
     if (!s.shard_remaining.empty()) {
         oss << " shard_remaining=[";
         for (std::size_t i = 0; i < s.shard_remaining.size(); ++i) {

@@ -6,8 +6,8 @@
 /// call in tests — flags any worker that has been silent for more than
 /// k× its recent chunk-time EMA (with an absolute floor so slow-but-real
 /// chunks on imbalanced nodes never trip it) and emits a one-shot
-/// diagnostic dump: stuck level, last chunk start, outstanding prefetch,
-/// and per-shard remaining iterations when a shard probe is installed.
+/// diagnostic dump: stuck level, last chunk start and per-shard
+/// remaining iterations when a shard probe is installed.
 /// The dump fires once per stall episode; a new beat re-arms it.
 ///
 /// This is the precursor to lease-based chunk reclamation (ROADMAP item
@@ -46,7 +46,6 @@ public:
         int worker = -1;
         int level = -1;                   ///< level the worker last acquired at
         std::int64_t last_chunk_start = -1;  ///< first iteration of its last chunk
-        bool prefetch_outstanding = false;
         std::uint64_t silent_ns = 0;
         std::uint64_t ema_ns = 0;
         std::uint64_t beats = 0;
@@ -66,13 +65,12 @@ public:
     void leave(int worker) noexcept;
 
     /// Heartbeat: one call per executed chunk. Wait-free, allocation-free.
-    void beat(int worker, int level, std::int64_t chunk_start, bool prefetch_outstanding,
-              double chunk_seconds) noexcept;
+    void beat(int worker, int level, std::int64_t chunk_start, double chunk_seconds) noexcept;
 
     /// Deterministic seam used by tests: like beat() but with an explicit
     /// timestamp on the now_ns() clock.
     void beat_at(std::uint64_t now, int worker, int level, std::int64_t chunk_start,
-                 bool prefetch_outstanding, double chunk_seconds) noexcept;
+                 double chunk_seconds) noexcept;
 
     /// Scans all workers against `now` (same clock as now_ns()) and
     /// returns the stalls detected *this call* — one-shot per episode.
@@ -110,7 +108,6 @@ private:
         std::atomic<std::uint64_t> ema_ns{0};
         std::atomic<std::int32_t> level{-1};
         std::atomic<std::int64_t> last_chunk_start{-1};
-        std::atomic<bool> prefetch_outstanding{false};
         std::atomic<bool> active{false};
         // Owned by the checking thread only.
         std::uint64_t beats_at_report = 0;
@@ -183,10 +180,9 @@ inline void worker_leave(int worker, StallWatchdog* wd) noexcept {
 }
 
 inline void worker_beat(int worker, int level, std::int64_t chunk_start,
-                        bool prefetch_outstanding, double chunk_seconds,
-                        StallWatchdog* wd) noexcept {
+                        double chunk_seconds, StallWatchdog* wd) noexcept {
     if (wd != nullptr) {
-        wd->beat(worker, level, chunk_start, prefetch_outstanding, chunk_seconds);
+        wd->beat(worker, level, chunk_start, chunk_seconds);
     }
 }
 
@@ -194,9 +190,8 @@ inline void worker_beat(int worker, int level, std::int64_t chunk_start,
 inline void worker_enter(int worker) noexcept { worker_enter(worker, active_watchdog()); }
 inline void worker_leave(int worker) noexcept { worker_leave(worker, active_watchdog()); }
 inline void worker_beat(int worker, int level, std::int64_t chunk_start,
-                        bool prefetch_outstanding, double chunk_seconds) noexcept {
-    worker_beat(worker, level, chunk_start, prefetch_outstanding, chunk_seconds,
-                active_watchdog());
+                        double chunk_seconds) noexcept {
+    worker_beat(worker, level, chunk_start, chunk_seconds, active_watchdog());
 }
 
 }  // namespace hdls::metrics

@@ -91,16 +91,12 @@ void Runtime::run(int world_size, const Topology& topology, TransportKind transp
 }
 
 void Runtime::run(int world_size, const std::function<void(Context&)>& fn) {
-    Topology topo;
-    topo.ranks_per_node = world_size;  // everyone on one simulated node
-    run(world_size, topo, fn);
+    run(world_size, Topology::flat(world_size), fn);  // everyone on one simulated node
 }
 
 void Runtime::run(int world_size, TransportKind transport,
                   const std::function<void(Context&)>& fn) {
-    Topology topo;
-    topo.ranks_per_node = world_size;
-    run(world_size, topo, transport, fn);
+    run(world_size, Topology::flat(world_size), transport, fn);
 }
 
 }  // namespace minimpi

@@ -7,7 +7,7 @@
 /// full tree spec — an ordered list of levels with fan-outs whose product
 /// is the world size, e.g. racks=2, nodes=4, sockets=2, cores=8 for a
 /// 128-rank run. The flat form survives as the implied two-level
-/// {nodes, cores} tree, so `Topology{16}` keeps meaning "16 ranks per
+/// {nodes, cores} tree, so `Topology::flat(16)` means "16 ranks per
 /// node". On a real cluster the mapping is physical; here it drives
 /// Comm::split_type(SplitType::Shared) (the *leaf* groups — the innermost
 /// shared-memory domains the paper's node-local queues form over) and the
@@ -41,6 +41,9 @@ struct Topology {
     /// two-level {nodes, cores} tree implied by ranks_per_node and the
     /// world size.
     std::vector<TopologyLevel> levels;
+
+    /// The implied two-level tree with `rpn` ranks per leaf group.
+    [[nodiscard]] static Topology flat(int rpn) { return {.ranks_per_node = rpn, .levels = {}}; }
 
     /// Builds a tree topology; ranks_per_node follows the innermost level.
     [[nodiscard]] static Topology tree(std::vector<TopologyLevel> lv) {

@@ -32,83 +32,15 @@
 /// only computes offsets and enforces epoch/abort semantics.
 
 #include <atomic>
-#include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <unordered_map>
 
-#include "minimpi/backoff.hpp"
+#include "metrics/metrics.hpp"
 #include "minimpi/comm.hpp"
 #include "minimpi/transport.hpp"
 
 namespace minimpi {
-
-/// Request handle of a nonblocking CAS-retry transform (the request-based
-/// RMA shape of MPI_Rget_accumulate + MPI_Test/MPI_Wait): the origin
-/// issues the update with Window::start_atomic_update, overlaps whatever
-/// it likes, and completes through test()/wait(). Each test() makes
-/// exactly one compare-and-swap attempt — a failed attempt refreshes the
-/// expected value and advances the Backoff ladder, so a polling origin
-/// degrades as gracefully as a blocked Window::lock origin does.
-///
-/// A default-constructed request is already complete (the empty request,
-/// MPI_REQUEST_NULL): test() is true, wait() returns T{}.
-template <typename T>
-class AtomicUpdateRequest {
-public:
-    AtomicUpdateRequest() = default;
-
-    /// True once the update has been applied (the empty request counts as
-    /// complete).
-    [[nodiscard]] bool done() const noexcept { return done_; }
-
-    /// One completion attempt: applies f to the freshest observed value
-    /// via compare-and-swap. Returns true when the update landed; on
-    /// contention records the new observed value, backs off once and
-    /// returns false. `f` may thus be evaluated several times and must be
-    /// side-effect free (the atomic_update contract). Throws
-    /// ErrorCode::Aborted if the runtime is unwinding — a pending request
-    /// never spins past a peer failure.
-    bool test() {
-        if (done_) {
-            return true;
-        }
-        if (const auto applied = attempt_()) {
-            result_ = *applied;
-            done_ = true;
-            hdls::metrics::rt().window_requests_completed->inc();
-            return true;
-        }
-        hdls::metrics::rt().window_cas_retries->inc();
-        backoff_.pause();
-        return false;
-    }
-
-    /// Drives test() to completion and returns the value the update was
-    /// applied to (the fetch result, as Window::atomic_update returns).
-    T wait() {
-        while (!test()) {
-        }
-        return result_;
-    }
-
-    /// The fetch result; only meaningful once done().
-    [[nodiscard]] T result() const noexcept { return result_; }
-
-private:
-    friend class Window;
-    /// `attempt` performs one CAS try, owning the in-progress state (the
-    /// last observed value) in its closure; an engaged return is the value
-    /// the transform was applied to.
-    explicit AtomicUpdateRequest(std::function<std::optional<T>()> attempt)
-        : attempt_(std::move(attempt)), done_(false) {}
-
-    std::function<std::optional<T>()> attempt_;
-    bool done_ = true;
-    T result_{};
-    Backoff backoff_;
-};
 
 namespace detail {
 
@@ -284,42 +216,6 @@ public:
             hdls::metrics::rt().window_cas_retries->inc();
             old = prev;
         }
-    }
-
-    /// Nonblocking atomic_update (the request form: MPI_Rget_accumulate +
-    /// MPI_Test/MPI_Wait): issues the CAS-retry transform and returns its
-    /// request handle instead of spinning to completion. The origin may
-    /// overlap computation or other communication and complete the update
-    /// later via the handle's test()/wait(); contended completions retry
-    /// one CAS per test() under the same Backoff ladder as a blocked
-    /// Window::lock, and every attempt observes the runtime abort flag.
-    /// The returned handle keeps the window alive; `f` must be side-effect
-    /// free (it may run once per completion attempt).
-    template <Pod T, typename F>
-    [[nodiscard]] AtomicUpdateRequest<T> start_atomic_update(int target_rank,
-                                                             std::size_t elem_offset,
-                                                             F f) const
-        requires std::is_integral_v<T>
-    {
-        // Validate the access eagerly: a bad target/offset must throw at
-        // issue time, not at first test().
-        (void)checked_address<T>(target_rank, elem_offset);
-        return AtomicUpdateRequest<T>(
-            [win = *this, target_rank, elem_offset, f = std::move(f),
-             observed = std::optional<T>{}]() mutable -> std::optional<T> {
-                win.comm_.state_->check_abort();
-                if (!observed) {
-                    observed = win.template atomic_read<T>(target_rank, elem_offset);
-                }
-                const T desired = static_cast<T>(f(*observed));
-                const T prev = win.template compare_and_swap<T>(*observed, desired,
-                                                                target_rank, elem_offset);
-                if (prev == *observed) {
-                    return *observed;
-                }
-                observed = prev;  // refreshed for the next attempt
-                return std::nullopt;
-            });
     }
 
     // ------------------------------------------------------ completion ----

@@ -172,13 +172,6 @@ SimReport simulate_shared_queue(const ClusterSpec& cluster, const SimConfig& con
     // the first empty-handed wake-up to the wake-up that found work (or
     // terminated), mirroring the real executor's recording.
     std::vector<double> wait_from(static_cast<std::size_t>(total_workers), -1.0);
-    // Asynchronous prefetching (SimConfig::prefetch): the compute time of
-    // the sub-chunk a worker just executed is the window its next
-    // upper-level acquisition can hide under. Adaptive roots are never
-    // discounted — the real prefetcher does not cross a refill whose flush
-    // must see the in-flight chunk's feedback.
-    const bool prefetch = config.prefetch && !source.wants_feedback();
-    std::vector<double> overlap_credit(static_cast<std::size_t>(total_workers), 0.0);
     // Per-worker "accumulated feedback not yet flushed" flag, mirroring
     // the real executor's flush-before-refill cadence.
     std::vector<char> feedback_pending(static_cast<std::size_t>(total_workers), 0);
@@ -225,11 +218,6 @@ SimReport simulate_shared_queue(const ClusterSpec& cluster, const SimConfig& con
             }
             dead.unallocated = 0;
         }
-        // The overlap window earned by the previous transaction's compute;
-        // consumed (and reset) by this transaction's refill, if any.
-        double& credit_slot = overlap_credit[static_cast<std::size_t>(ev.worker)];
-        const double my_credit = prefetch ? credit_slot : -1.0;
-        credit_slot = 0.0;
         double& waiting_since = wait_from[static_cast<std::size_t>(ev.worker)];
         const bool record_probe = tracing && waiting_since < 0.0;
         const auto close_wait = [&](double end) {
@@ -280,7 +268,6 @@ SimReport simulate_shared_queue(const ClusterSpec& cluster, const SimConfig& con
                               acc.released - t + costs.chunk_overhead_s());
                 feedback_pending[static_cast<std::size_t>(ev.worker)] = 1;
             }
-            credit_slot = compute;
             events.push({acc.released + costs.chunk_overhead_s() + compute, ev.worker});
             continue;
         }
@@ -308,13 +295,8 @@ SimReport simulate_shared_queue(const ClusterSpec& cluster, const SimConfig& con
             }
             double done = now;
             double retry_at = 0.0;
-            PrefetchCharge pf;
-            const auto take = source.acquire(w.node, now, &done, &retry_at, my_credit, &pf);
+            const auto take = source.acquire(w.node, now, &done, &retry_at);
             w.overhead += done - now;
-            if (take && my_credit >= 0.0 && tracing) {
-                tracer.record(trace::EventKind::Prefetch, done, done, pf.hit ? 1 : 0,
-                              take->start, pf.hidden, take->level);
-            }
             if (!take && std::isfinite(retry_at)) {
                 // Work is in flight somewhere up the branch (pushed but not
                 // yet visible at our inspection time): wake when it lands.
@@ -341,15 +323,9 @@ SimReport simulate_shared_queue(const ClusterSpec& cluster, const SimConfig& con
                 ++w.global_refills;
                 close_wait(now);
                 if (tracing) {
-                    // Under prefetch pricing `done` is the discounted
-                    // completion; the recorded epoch keeps the physical
-                    // flight time (mirroring the real executor, whose
-                    // prefetched acquire epoch is raw but off the critical
-                    // path) — the hidden share rides the Prefetch event.
-                    const double epoch_end = my_credit >= 0.0 ? now + pf.raw : done;
                     tracer.record(take->stolen ? trace::EventKind::Steal
                                                : trace::EventKind::GlobalAcquire,
-                                  now, epoch_end, start, size, 0.0, take->level);
+                                  now, done, start, size, 0.0, take->level);
                 }
                 now = done;
                 // Push + pop own first sub-chunk in one queue access.
@@ -388,9 +364,6 @@ SimReport simulate_shared_queue(const ClusterSpec& cluster, const SimConfig& con
                     source.report(w.node, sub->second - sub->first, compute,
                                   push.released - now + costs.chunk_overhead_s());
                     feedback_pending[static_cast<std::size_t>(ev.worker)] = 1;
-                }
-                if (sub) {
-                    credit_slot = compute;
                 }
                 events.push(
                     {push.released + costs.chunk_overhead_s() + compute, ev.worker});

@@ -357,22 +357,10 @@ private:
     return 3.0 * costs.level_rma_s(0);
 }
 
-/// What one *prefetched* (asynchronously issued) acquisition cost the
-/// critical path: under SimConfig::prefetch the request flies while the
-/// previous chunk computes, so the caller is charged the nonblocking
-/// issue/completion cost plus only the part of the raw latency that
-/// outlived the overlap window — max(compute_remaining, acquire_latency)
-/// in place of their sum.
-struct PrefetchCharge {
-    double raw = 0.0;      ///< physical flight time of the acquisition
-    double charged = 0.0;  ///< critical-path seconds (issue + residual latency)
-    double hidden = 0.0;   ///< latency absorbed behind the overlap window
-    bool hit = false;      ///< the acquisition completed within the window
-};
-
-/// The validated per-level plan of one simulated run (the sim twin of
-/// core::resolve_hierarchy, duplicated only in shape: the simulator keeps
-/// no dependency on the real executors' core layer).
+/// The validated per-level plan of one simulated run: the tree plus the
+/// levels dls::resolve_level_plan derives — the same derivation as
+/// core::resolve_hierarchy (the simulator keeps no dependency on the real
+/// executors' core layer).
 struct SimPlan {
     std::vector<minimpi::TopologyLevel> tree;   ///< depth >= 2
     std::vector<dls::LevelScheme> levels;       ///< per level; interior backends engaged
@@ -384,50 +372,9 @@ struct SimPlan {
                                               const SimConfig& config) {
     SimPlan plan;
     plan.tree = cluster.effective_tree();  // cluster.validate() checked consistency
-    const int depth = plan.depth();
-    if (config.levels.empty()) {
-        plan.levels.assign(static_cast<std::size_t>(depth),
-                           dls::LevelScheme{config.inter, config.inter_backend});
-        plan.levels.back() = dls::LevelScheme{config.intra, std::nullopt};
-    } else {
-        if (static_cast<int>(config.levels.size()) != depth) {
-            throw std::invalid_argument("simulate: got " +
-                                        std::to_string(config.levels.size()) +
-                                        " level configs for a depth-" + std::to_string(depth) +
-                                        " topology");
-        }
-        plan.levels = config.levels;
-        for (int d = 0; d < depth - 1; ++d) {
-            auto& lv = plan.levels[static_cast<std::size_t>(d)];
-            if (!lv.backend) {
-                lv.backend = config.inter_backend;
-            }
-        }
-        plan.levels.back().backend.reset();
-    }
-    auto& root = plan.levels.front();
-    if (!dls::supports_internode(root.technique)) {
-        throw std::invalid_argument(
-            std::string("simulate: level 0 technique ") +
-            std::string(dls::technique_name(root.technique)) +
-            " has neither a step-indexed nor a remaining-count-based distributed form");
-    }
-    if (root.backend == dls::InterBackend::Sharded && !dls::supports_sharded(root.technique)) {
-        root.backend = dls::InterBackend::Centralized;
-    }
-    for (int d = 1; d < depth - 1; ++d) {
-        auto& lv = plan.levels[static_cast<std::size_t>(d)];
-        if (lv.backend == dls::InterBackend::Sharded && !dls::supports_sharded(lv.technique)) {
-            lv.backend = dls::InterBackend::Centralized;
-        }
-        if (lv.backend == dls::InterBackend::Centralized &&
-            !dls::supports_step_indexed(lv.technique)) {
-            throw std::invalid_argument(
-                std::string("simulate: level ") + std::to_string(d) + " technique " +
-                std::string(dls::technique_name(lv.technique)) +
-                " cannot relay parent chunks (needs a step-indexed or sharded form)");
-        }
-    }
+    plan.levels = dls::resolve_level_plan(
+        plan.depth(), config.levels, dls::LevelScheme{config.inter, config.inter_backend},
+        config.intra, "simulate: ", [](int d) { return "level " + std::to_string(d); });
     return plan;
 }
 
@@ -457,7 +404,7 @@ public:
 
     HierarchicalSource(const ClusterSpec& cluster, const SimConfig& config,
                        const SimPlan& plan, std::int64_t n)
-        : depth_(plan.depth()), prefetch_issue_s_(cluster.costs.prefetch_issue_s()) {
+        : depth_(plan.depth()) {
         fan_.reserve(plan.tree.size());
         for (const auto& lv : plan.tree) {
             fan_.push_back(lv.fan_out);
@@ -508,33 +455,10 @@ public:
     /// at which currently in-flight (pushed but not yet visible) work
     /// becomes poppable, or +infinity when the caller's branch is
     /// permanently dry.
-    ///
-    /// `overlap_s >= 0` prices the acquisition as asynchronously
-    /// prefetched (SimConfig::prefetch): the request was issued behind a
-    /// chunk whose compute time was overlap_s, so the successful caller is
-    /// charged prefetch_issue_us + max(0, raw_latency - overlap_s) — i.e.
-    /// max(compute, latency) across the chunk boundary instead of their
-    /// sum. A negative overlap (the default) keeps the synchronous
-    /// pricing; a dry-probe failure is never discounted (learning the
-    /// branch is empty gains nothing from overlap). When `charge` is
-    /// non-null it receives the hit/hidden decomposition for tracing.
     [[nodiscard]] std::optional<Take> acquire(int leaf, double t, double* done,
-                                              double* retry_at, double overlap_s = -1.0,
-                                              PrefetchCharge* charge = nullptr) {
+                                              double* retry_at) {
         *retry_at = std::numeric_limits<double>::infinity();
-        const auto take = walk(depth_ - 2, leaf, t, done, retry_at);
-        if (take && overlap_s >= 0.0) {
-            PrefetchCharge c;
-            c.raw = std::max(0.0, *done - t);
-            c.hidden = std::min(c.raw, overlap_s);
-            c.charged = prefetch_issue_s_ + (c.raw - c.hidden);
-            c.hit = c.raw <= overlap_s;
-            *done = t + c.charged;
-            if (charge != nullptr) {
-                *charge = c;
-            }
-        }
-        return take;
+        return walk(depth_ - 2, leaf, t, done, retry_at);
     }
 
     /// True once nothing can ever reach `leaf` again: the root is dry and
@@ -770,7 +694,6 @@ private:
     }
 
     int depth_ = 2;
-    double prefetch_issue_s_ = 0.0;  ///< nonblocking issue+completion cost
     std::vector<int> fan_;
     std::vector<std::int64_t> leaf_div_;  ///< leaf groups per depth-d group
     std::unique_ptr<InterSource> root_;

@@ -83,13 +83,6 @@ struct SimConfig {
     /// ignored. An unset backend inherits `inter_backend` (interior
     /// levels).
     std::vector<dls::LevelScheme> levels;
-    /// Asynchronous chunk prefetching (mirrors HierConfig::prefetch): an
-    /// upper-level acquisition that follows a computed chunk is priced as
-    /// overlapped — CostModel::prefetch_issue_us plus only the part of the
-    /// acquire latency that exceeds the chunk's compute time — instead of
-    /// the full synchronous latency. Chunk sequences are unchanged; only
-    /// the pricing (and the recorded Prefetch hit/miss events) differ.
-    bool prefetch = false;
     /// Record virtual-time chunk-lifecycle events into SimReport::trace
     /// (same schema as the real executors' traces, so every exporter and
     /// analysis in src/trace/ applies).

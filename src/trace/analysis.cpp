@@ -131,14 +131,6 @@ TraceAnalysis analyze(const Trace& trace) {
                     jb->barrier_wait += e.duration();
                 }
                 break;
-            case EventKind::Prefetch:
-                if (e.a != 0) {
-                    ++out.prefetch_hits;
-                } else {
-                    ++out.prefetch_misses;
-                }
-                out.prefetch_hidden_seconds += e.wait;
-                break;
             case EventKind::Reclaim:
                 out.reclaimed.emplace_back(e.a, e.b);
                 out.reclaimed_iterations += e.b;
@@ -247,12 +239,6 @@ void TraceAnalysis::print(std::ostream& os) const {
             os << " [" << start << "," << start + size << ")";
         }
         os << "\n";
-    }
-    if (prefetch_hits + prefetch_misses > 0) {
-        os << "prefetch: " << prefetch_hits << " hits / " << prefetch_misses << " misses ("
-           << util::format_double(prefetch_hit_rate() * 100.0, 1) << "% hit rate), "
-           << util::format_seconds(prefetch_hidden_seconds)
-           << " of acquisition prefetched ahead of demand\n";
     }
     os << "makespan: " << util::format_seconds(makespan)
        << "  imbalance: " << util::format_double(percent_imbalance, 2) << "%"

@@ -98,26 +98,6 @@ struct TraceAnalysis {
     double total_lock_wait = 0.0;
     double total_barrier_wait = 0.0;
 
-    /// Asynchronous-prefetch accounting (zero for runs without prefetch):
-    /// acquisitions served from the prefetch slot vs. ones that fell back
-    /// to the on-demand path, and the acquisition seconds spent filling
-    /// slots ahead of demand. In *simulator* traces that time is priced
-    /// off the critical path (hidden behind chunk execution — the overlap
-    /// model); in thread-backed real-executor traces it is repositioned
-    /// work, not removed work, since the runtime's RMA has no flight time
-    /// to hide — there the number says how much acquisition a real fabric
-    /// could overlap, not what this run saved.
-    std::int64_t prefetch_hits = 0;
-    std::int64_t prefetch_misses = 0;
-    double prefetch_hidden_seconds = 0.0;
-
-    /// Fraction of acquisitions served from the prefetch slot.
-    [[nodiscard]] double prefetch_hit_rate() const noexcept {
-        const std::int64_t total = prefetch_hits + prefetch_misses;
-        return total > 0 ? static_cast<double>(prefetch_hits) / static_cast<double>(total)
-                         : 0.0;
-    }
-
     /// Chunks reclaimed from dead owners and re-executed by survivors
     /// (Reclaim events), as [start, start+size) ranges in recording order.
     /// Empty for runs without failures — the fault-tolerance accounting of

@@ -37,14 +37,6 @@ enum class EventKind : std::uint8_t {
     Steal,           ///< level-1 work steal under the sharded backend (a=start, b=size
                      ///< carved from a peer shard; the victim is recoverable from the
                      ///< range, shard boundaries being deterministic)
-    Prefetch,        ///< prefetch-slot outcome at acquire time: a=1 hit (the chunk was
-                     ///< already in the slot, acquired ahead of demand; `wait` holds the
-                     ///< acquisition seconds spent filling it, b the chunk start) or a=0
-                     ///< miss (the slot was empty; the acquisition ran on demand). Under
-                     ///< the simulators' overlap pricing the hit's `wait` is latency
-                     ///< hidden behind chunk execution — genuinely off the critical
-                     ///< path; the thread-backed real executor repositions that work
-                     ///< rather than removing it (its RMA has no flight time to hide)
     Reclaim,         ///< lease reclaimed from a dead owner and re-executed by the
                      ///< recording worker (a=start, b=size of the reclaimed chunk;
                      ///< docs/fault-tolerance.md)
@@ -74,8 +66,6 @@ inline constexpr int kEventKinds = 12;
             return "FeedbackReport";
         case EventKind::Steal:
             return "Steal";
-        case EventKind::Prefetch:
-            return "Prefetch";
         case EventKind::Reclaim:
             return "Reclaim";
     }

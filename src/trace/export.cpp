@@ -169,13 +169,6 @@ void export_chrome_json(const Trace& trace, std::ostream& os) {
                      ",\"size\":" + std::to_string(e.b) +
                      ",\"level\":" + std::to_string(e.level) + "}}");
                 break;
-            case EventKind::Prefetch:
-                emit("{\"name\":\"Prefetch\",\"ph\":\"i\",\"s\":\"t\"," + common +
-                     ",\"args\":{\"hit\":" + std::to_string(e.a) +
-                     ",\"start\":" + std::to_string(e.b) +
-                     ",\"hidden_us\":" + json_number(us(e.wait)) +
-                     ",\"level\":" + std::to_string(e.level) + "}}");
-                break;
             case EventKind::Reclaim:
                 emit("{\"name\":\"Reclaim\",\"ph\":\"i\",\"s\":\"t\"," + common +
                      ",\"args\":{\"start\":" + std::to_string(e.a) +

@@ -2,9 +2,7 @@
 /// \file prefetch.hpp
 /// Software-prefetch helpers for intra-chunk latency hiding.
 ///
-/// PR 5 hid *scheduling* latency by double-buffering the next chunk
-/// acquisition behind the current chunk's compute. This header is the
-/// intra-chunk analog: hide *memory* latency by issuing a prefetch for the
+/// Hides *memory* latency inside a chunk by issuing a prefetch for the
 /// data a loop will touch a fixed distance ahead of where it is computing
 /// (arbor's util/prefetch.hpp pairs the same idea with a deferred-work
 /// ring). Two tools:

@@ -29,7 +29,7 @@ void stress_queue(Technique inter, int ranks, int ranks_per_node, std::int64_t n
                   bool with_reports) {
     std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
     std::atomic<std::int64_t> total{0};
-    minimpi::Runtime::run(ranks, minimpi::Topology{ranks_per_node},
+    minimpi::Runtime::run(ranks, minimpi::Topology::flat(ranks_per_node),
                           [&](minimpi::Context& ctx) {
         HierConfig cfg;
         cfg.inter = inter;
@@ -118,7 +118,7 @@ TEST(AdaptiveQueueTest, WfStaticWeightsScaleChunks) {
 }
 
 TEST(AdaptiveQueueTest, AwfWeightsShiftWorkTowardsTheFastNode) {
-    minimpi::Runtime::run(2, minimpi::Topology{1}, [](minimpi::Context& ctx) {
+    minimpi::Runtime::run(2, minimpi::Topology::flat(1), [](minimpi::Context& ctx) {
         constexpr std::int64_t kN = 100000;
         AdaptiveGlobalQueue q(ctx.world(), kN, Technique::AWFC, 2, ctx.node(), 1);
         // Seed feedback: node 0 runs 4x faster than node 1.

@@ -2,10 +2,16 @@
 /// Guards the calibration of the benchmark workloads and CLI plumbing —
 /// the properties EXPERIMENTS.md claims (imbalance ordering, granularity
 /// invariance under --scale, cost-model knob wiring). A regression here
-/// would silently change the reproduced figures.
+/// would silently change the reproduced figures. Plus the bench JSON
+/// report schema.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+
+#include "common/json_report.hpp"
 #include "common/workloads.hpp"
 
 namespace {
@@ -92,6 +98,35 @@ TEST(BenchCliTest, NegativeCostKnobIsRejected) {
     add_common_options(cli);
     ASSERT_TRUE(cli.parse({"--rma_us", "-1"}));
     EXPECT_THROW((void)cluster_from_options(cli, 2), std::invalid_argument);
+}
+
+// ------------------------------------------------------------ json report --
+
+TEST(JsonReportTest, RendersParamsPointsAndSummaryStats) {
+    hdls::bench::JsonReport report("bench_unit_test");
+    report.add_param("scale", 0.5);
+    report.add_param("label", "a \"quoted\" value");
+    report.point()
+        .label("nodes", std::int64_t{32})
+        .sample("t_s", 1.0)
+        .sample("t_s", 3.0)
+        .sample("t_s", 2.0);
+    const std::string doc = report.render();
+    EXPECT_NE(doc.find("\"name\":\"bench_unit_test\""), std::string::npos);
+    EXPECT_NE(doc.find("\"scale\":\"0.5\""), std::string::npos);
+    EXPECT_NE(doc.find("\\\"quoted\\\""), std::string::npos);
+    EXPECT_NE(doc.find("\"nodes\":\"32\""), std::string::npos);
+    // util::summarize over {1,3,2}: median 2, count 3, min 1, max 3.
+    EXPECT_NE(doc.find("\"count\":3"), std::string::npos);
+    EXPECT_NE(doc.find("\"median\":2"), std::string::npos);
+    EXPECT_NE(doc.find("\"min\":1"), std::string::npos);
+    EXPECT_NE(doc.find("\"max\":3"), std::string::npos);
+    EXPECT_NE(doc.find("\"values\":[1,3,2]"), std::string::npos);
+}
+
+TEST(JsonReportTest, WriteFailureThrows) {
+    hdls::bench::JsonReport report("bench_unit_test");
+    EXPECT_THROW(report.write("/nonexistent-dir/nope.json"), std::runtime_error);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 /// \file test_hierarchy.cpp
 /// Arbitrary-depth scheduling hierarchies: exact tiling across the
-/// depth x technique x fan-out grid, depth-2 replay parity with the
+/// depth x technique x backend x fan-out x executor grid, depth-2 replay parity with the
 /// classic two-level configuration, per-level trace tagging, and the
 /// simulator's deep-tree engines.
 
@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/hdls.hpp"
@@ -119,17 +120,39 @@ TEST(HierarchyResolveTest, ShardedFallsBackPerLevel) {
 }
 
 TEST(HierarchyGridTest, ExactTilingAcrossDepthsTechniquesAndFanOuts) {
+    // The sharded backends steal nondeterministically, so the multiset is
+    // run-dependent — the invariant is exact tiling, on both executors.
     struct Case {
         ClusterShape shape;
+        Approach approach;
         std::vector<TopologyLevel> tree;
         std::vector<LevelConfig> levels;
     };
     const std::vector<Case> cases = {
+        // the classic defaults (no explicit tree)
+        {{4, 3}, Approach::MpiMpi, {}, {}},
         // depth 2 (the classic pair, via the explicit-tree path)
-        {{3, 2}, {{"nodes", 3}, {"cores", 2}}, {{Technique::GSS, std::nullopt},
-                                                {Technique::SS, std::nullopt}}},
+        {{3, 2},
+         Approach::MpiMpi,
+         {{"nodes", 3}, {"cores", 2}},
+         {{Technique::GSS, std::nullopt}, {Technique::SS, std::nullopt}}},
+        // depth 2, sharded root
+        {{4, 2},
+         Approach::MpiMpi,
+         {{"nodes", 4}, {"cores", 2}},
+         {{Technique::GSS, InterBackend::Sharded}, {Technique::SS, std::nullopt}}},
+        // depth 2, adaptive roots (feedback flushed before every refill)
+        {{4, 4},
+         Approach::MpiMpi,
+         {{"nodes", 4}, {"cores", 4}},
+         {{Technique::AWFB, std::nullopt}, {Technique::GSS, std::nullopt}}},
+        {{4, 4},
+         Approach::MpiMpi,
+         {{"nodes", 4}, {"cores", 4}},
+         {{Technique::AWFD, std::nullopt}, {Technique::GSS, std::nullopt}}},
         // depth 3, even fan-outs, centralized middle
         {{6, 2},
+         Approach::MpiMpi,
          {{"racks", 2}, {"nodes", 3}, {"cores", 2}},
          {{Technique::FAC2, std::nullopt},
           {Technique::GSS, std::nullopt},
@@ -137,25 +160,44 @@ TEST(HierarchyGridTest, ExactTilingAcrossDepthsTechniquesAndFanOuts) {
         // depth 3, uneven fan-outs, sharded middle (work stealing between
         // sibling nodes of a rack)
         {{6, 3},
+         Approach::MpiMpi,
          {{"racks", 3}, {"nodes", 2}, {"cores", 3}},
          {{Technique::TSS, std::nullopt},
           {Technique::GSS, InterBackend::Sharded},
           {Technique::GSS, std::nullopt}}},
         // depth 3, WF root (remaining-based) over a STATIC relay
         {{4, 2},
+         Approach::MpiMpi,
          {{"racks", 2}, {"nodes", 2}, {"cores", 2}},
          {{Technique::WF, std::nullopt},
           {Technique::Static, std::nullopt},
           {Technique::GSS, std::nullopt}}},
+        // depth 3 under the hybrid executor
+        {{6, 4},
+         Approach::MpiOpenMp,
+         {{"racks", 2}, {"nodes", 3}, {"cores", 4}},
+         {{Technique::FAC2, std::nullopt},
+          {Technique::GSS, std::nullopt},
+          {Technique::GSS, std::nullopt}}},
         // depth 4, mixed backends in the middle levels
         {{8, 2},
+         Approach::MpiMpi,
          {{"racks", 2}, {"nodes", 2}, {"sockets", 2}, {"cores", 2}},
          {{Technique::GSS, std::nullopt},
           {Technique::FAC2, InterBackend::Sharded},
           {Technique::GSS, std::nullopt},
           {Technique::SS, std::nullopt}}},
+        // depth 4, sharded root over a sharded FAC2 relay
+        {{8, 2},
+         Approach::MpiMpi,
+         {{"racks", 2}, {"nodes", 2}, {"sockets", 2}, {"cores", 2}},
+         {{Technique::GSS, InterBackend::Sharded},
+          {Technique::FAC2, InterBackend::Sharded},
+          {Technique::GSS, std::nullopt},
+          {Technique::SS, std::nullopt}}},
         // depth 4, sharded root + sharded socket level
         {{8, 2},
+         Approach::MpiMpi,
          {{"racks", 2}, {"nodes", 2}, {"sockets", 2}, {"cores", 2}},
          {{Technique::GSS, InterBackend::Sharded},
           {Technique::TSS, std::nullopt},
@@ -168,9 +210,10 @@ TEST(HierarchyGridTest, ExactTilingAcrossDepthsTechniquesAndFanOuts) {
             HierConfig cfg;
             cfg.topology = c.tree;
             cfg.levels = c.levels;
-            SCOPED_TRACE("depth=" + std::to_string(c.tree.size()) +
+            SCOPED_TRACE(std::string(hdls::core::approach_name(c.approach)) +
+                         " depth=" + std::to_string(c.tree.size()) +
                          " n=" + std::to_string(n));
-            expect_exact_tiling(c.shape, Approach::MpiMpi, cfg, n);
+            expect_exact_tiling(c.shape, c.approach, cfg, n);
         }
     }
 }

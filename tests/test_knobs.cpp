@@ -105,11 +105,6 @@ const std::map<std::string, KnobCase, std::less<>>& cases() {
           "unset",
           {{"sharded", "sharded"}, {"CENTRALIZED", "centralized"}, {" Sharded ", "sharded"}},
           {"hexagonal", "nonsense"}}},
-        {"HDLS_PREFETCH",
-         {[](const EnvKnobs& e) { return opt(e.prefetch, flag); },
-          "unset",
-          {{"1", "1"}, {"on", "1"}, {"FALSE", "0"}, {"0", "0"}},
-          {"maybe"}}},
         {"HDLS_TRACE",
          {[](const EnvKnobs& e) { return opt(e.trace, flag); },
           "unset",
@@ -201,7 +196,7 @@ TEST(KnobTableTest, EveryRowHasACaseAndEveryCaseARow) {
         ++rows;
     }
     EXPECT_EQ(rows, cases().size());
-    EXPECT_EQ(rows, 17u);
+    EXPECT_EQ(rows, 16u);
 }
 
 TEST(KnobTableTest, EveryRowParsesItsSpellingsAndRejectsEmptyAndGarbage) {
@@ -294,14 +289,12 @@ TEST(ConfigFromEnvTest, KnobsReplaceOnlyTheirFields) {
     ::setenv("HDLS_SCHEDULE", "FAC2+GSS+SS", 1);
     ::setenv("HDLS_TOPOLOGY", "racks=2,nodes=2,cores=2", 1);
     ::setenv("HDLS_INTER_BACKEND", "sharded", 1);
-    ::setenv("HDLS_PREFETCH", "1", 1);
     ::setenv("HDLS_TRACE", "0", 1);
     const HierConfig deep = hdls::core::config_from_env(base);
     ASSERT_EQ(deep.levels.size(), 3u);
     EXPECT_EQ(deep.levels[0].technique, Technique::FAC2);
     EXPECT_EQ(hdls::core::format_topology(deep.topology), "racks=2,nodes=2,cores=2");
     EXPECT_EQ(deep.inter_backend, hdls::dls::InterBackend::Sharded);
-    EXPECT_TRUE(deep.prefetch);
     EXPECT_FALSE(deep.trace);
 
     // A malformed schedule fails instead of falling back to the program's.

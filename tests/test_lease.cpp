@@ -1,6 +1,6 @@
 /// \file test_lease.cpp
 /// Lease-based fault tolerance: the LeaseBoard CAS protocol (completion
-/// fence, single-winner reclamation, prefetch-slot coverage), heartbeat
+/// fence, single-winner reclamation), heartbeat
 /// failure detection on both transports, the HDLS_CHAOS fail-stop drill
 /// proving every iteration commits exactly once despite a mid-loop kill,
 /// SlotGovernor membership re-apportionment, and the simulator's
@@ -140,7 +140,7 @@ TEST(LeaseBoardTest, LateOwnerLosesTheFenceAfterReclamation) {
 }
 
 /// Two survivors race to sweep and claim the two leases a dead rank left
-/// behind (its in-flight chunk plus its prefetch-slot chunk): every CAS
+/// behind (its in-flight chunk plus its leased level-queue pending): every CAS
 /// has a single winner, so exactly two claims happen in total.
 TEST(LeaseBoardTest, DoubleReclamationRaceHasSingleWinners) {
     Runtime::run(3, [](Context& ctx) {
@@ -245,10 +245,10 @@ TEST(FailureDetectorTest, SilentPeerIsDeclaredDeadOnBothTransports) {
 // ------------------------------------------------------ chaos end-to-end
 
 /// The PR's headline property: under HDLS_CHAOS a rank fail-stops mid-loop
-/// (abandoning its in-flight and prefetched leases), survivors detect the
+/// (abandoning its in-flight and pending leases), survivors detect the
 /// death, reclaim and re-execute the lost chunks — and every iteration of
 /// the loop still executes exactly once.
-void chaos_exactly_once(TransportKind kind, bool prefetch) {
+void chaos_exactly_once(TransportKind kind) {
     constexpr std::int64_t kN = 2000;
     auto hits = std::make_unique<std::atomic<int>[]>(static_cast<std::size_t>(kN));
     for (std::int64_t i = 0; i < kN; ++i) {
@@ -266,7 +266,6 @@ void chaos_exactly_once(TransportKind kind, bool prefetch) {
     cfg.intra = Technique::SS;
     cfg.min_chunk = 8;
     cfg.transport = kind;
-    cfg.prefetch = prefetch;
     cfg.trace = true;
     cfg.lease = true;
     cfg.lease_k = 4.0;
@@ -291,7 +290,7 @@ void chaos_exactly_once(TransportKind kind, bool prefetch) {
     for (std::int64_t i = 0; i < kN; ++i) {
         ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(std::memory_order_relaxed), 1)
             << "iteration " << i << " (transport "
-            << minimpi::transport_name(kind) << ", prefetch " << prefetch << ")";
+            << minimpi::transport_name(kind) << ")";
     }
     // Committed iterations account for the whole loop exactly once.
     EXPECT_EQ(report.executed_iterations(), kN);
@@ -308,17 +307,11 @@ void chaos_exactly_once(TransportKind kind, bool prefetch) {
 }
 
 TEST(ChaosTest, EveryIterationExecutesExactlyOnceOnThreads) {
-    chaos_exactly_once(TransportKind::Threads, /*prefetch=*/false);
+    chaos_exactly_once(TransportKind::Threads);
 }
 
 TEST(ChaosTest, EveryIterationExecutesExactlyOnceOnShm) {
-    chaos_exactly_once(TransportKind::Shm, /*prefetch=*/false);
-}
-
-/// A killed rank with an outstanding prefetch slot: the slot's chunk was
-/// leased at fill time, so it is reclaimed like the in-flight one.
-TEST(ChaosTest, ReclaimsThePrefetchSlotChunkToo) {
-    chaos_exactly_once(TransportKind::Threads, /*prefetch=*/true);
+    chaos_exactly_once(TransportKind::Shm);
 }
 
 TEST(ChaosTest, LeaseModeWithoutFailuresCommitsEverythingNormally) {

@@ -361,7 +361,7 @@ TEST(MetricsTest, IncrementPathDoesNotAllocate) {
     // Warm up thread-local shard indices outside the counted region.
     c.inc();
     h.observe(1);
-    wd.beat(0, 1, 0, false, 1e-6);
+    wd.beat(0, 1, 0, 1e-6);
 
     g_allocations.store(0);
     g_count_allocations.store(true);
@@ -369,7 +369,7 @@ TEST(MetricsTest, IncrementPathDoesNotAllocate) {
         c.inc();
         g.add(1);
         h.observe(static_cast<std::uint64_t>(i));
-        wd.beat(0, 1, i, false, 1e-6);
+        wd.beat(0, 1, i, 1e-6);
     }
     g_count_allocations.store(false);
     EXPECT_EQ(g_allocations.load(), 0u)
@@ -389,35 +389,33 @@ TEST(WatchdogTest, FlagsInjectedStallNamingLevelAndShard) {
     wd.enter(1);
     // Both workers beat twice with ~1us chunks.
     for (std::uint64_t t : {1'000ull, 2'000ull}) {
-        wd.beat_at(t, 0, 2, 64, true, 1e-6);
-        wd.beat_at(t, 1, 1, 128, false, 1e-6);
+        wd.beat_at(t, 0, 2, 64, 1e-6);
+        wd.beat_at(t, 1, 1, 128, 1e-6);
     }
     // Worker 1 keeps making progress; worker 0 goes silent past the floor.
-    wd.beat_at(1'800'000, 1, 1, 256, false, 1e-6);
+    wd.beat_at(1'800'000, 1, 1, 256, 1e-6);
     const auto stalls = wd.check(2'000'000);
     ASSERT_EQ(stalls.size(), 1u);
     EXPECT_EQ(stalls[0].worker, 0);
     EXPECT_EQ(stalls[0].level, 2);
     EXPECT_EQ(stalls[0].last_chunk_start, 64);
-    EXPECT_TRUE(stalls[0].prefetch_outstanding);
     EXPECT_EQ(stalls[0].shard_remaining, (std::vector<std::int64_t>{5, 0, 7}));
     EXPECT_EQ(wd.stalls_reported(), 1u);
     const std::string dump = wd.last_dump();
     EXPECT_NE(dump.find("worker 0 stalled"), std::string::npos);
     EXPECT_NE(dump.find("level=2"), std::string::npos);
     EXPECT_NE(dump.find("last_chunk_start=64"), std::string::npos);
-    EXPECT_NE(dump.find("prefetch_outstanding=yes"), std::string::npos);
     EXPECT_NE(dump.find("shard_remaining=[5, 0, 7]"), std::string::npos);
 
     // One-shot per episode: the same silence does not re-report (worker 1
     // keeps beating so only the reported worker 0 is silent).
-    wd.beat_at(2'400'000, 1, 1, 0, false, 1e-6);
+    wd.beat_at(2'400'000, 1, 1, 0, 1e-6);
     EXPECT_TRUE(wd.check(2'500'000).empty());
     EXPECT_EQ(wd.stalls_reported(), 1u);
 
     // Progress re-arms: a beat followed by a fresh stall fires again.
-    wd.beat_at(3'500'000, 0, 2, 512, false, 1e-6);
-    wd.beat_at(4'400'000, 1, 1, 0, false, 1e-6);
+    wd.beat_at(3'500'000, 0, 2, 512, 1e-6);
+    wd.beat_at(4'400'000, 1, 1, 0, 1e-6);
     EXPECT_TRUE(wd.check(3'600'000).empty());
     const auto again = wd.check(4'600'000);
     ASSERT_EQ(again.size(), 1u);
@@ -440,8 +438,8 @@ TEST(WatchdogTest, StaysSilentForSlowButProgressingWorkers) {
     StallWatchdog wd(1, cfg);
     wd.enter(0);
     // Two 100ms chunks: the EMA learns this worker is slow.
-    wd.beat_at(100'000'000, 0, 1, 0, false, 0.1);
-    wd.beat_at(200'000'000, 0, 1, 100, false, 0.1);
+    wd.beat_at(100'000'000, 0, 1, 0, 0.1);
+    wd.beat_at(200'000'000, 0, 1, 100, 0.1);
     // 500ms of silence is far past the floor but well inside 8x its EMA.
     EXPECT_TRUE(wd.check(700'000'000).empty());
     // Past the EMA-scaled threshold it does fire.
@@ -454,7 +452,7 @@ TEST(WatchdogTest, RequiresMinimumBeatsAndActiveWorkers) {
     cfg.min_beats = 2;
     StallWatchdog wd(2, cfg);
     wd.enter(0);
-    wd.beat_at(100, 0, 0, 0, false, 1e-6);  // one beat only
+    wd.beat_at(100, 0, 0, 0, 1e-6);  // one beat only
     EXPECT_TRUE(wd.check(1'000'000).empty());
     // Worker 1 never entered: silent forever, never flagged.
     EXPECT_TRUE(wd.check(10'000'000).empty());

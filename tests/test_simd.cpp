@@ -239,10 +239,9 @@ TEST_P(SimdRunnerGrid, MandelbrotChecksumInvariantAcrossSimdVariants) {
         cfg.topology = {{"groups", 2}, {"nodes", 2}, {"cores", 2}};
     }
 
-    auto checksum_with = [&](hdls::simd::SimdMode mode, bool prefetch) {
+    auto checksum_with = [&](hdls::simd::SimdMode mode) {
         hdls::core::HierConfig run = cfg;
         run.simd = mode;
-        run.prefetch = prefetch;
         hdls::apps::MandelbrotImage image(mcfg);
         const auto report = hdls::parallel_for(
             shape, hdls::core::Approach::MpiMpi, run, mcfg.pixels(),
@@ -252,9 +251,8 @@ TEST_P(SimdRunnerGrid, MandelbrotChecksumInvariantAcrossSimdVariants) {
         return image.checksum();
     };
 
-    const std::uint64_t scalar = checksum_with(hdls::simd::SimdMode::ForceScalar, false);
-    EXPECT_EQ(checksum_with(hdls::simd::SimdMode::Auto, false), scalar);
-    EXPECT_EQ(checksum_with(hdls::simd::SimdMode::Auto, true), scalar);
+    const std::uint64_t scalar = checksum_with(hdls::simd::SimdMode::ForceScalar);
+    EXPECT_EQ(checksum_with(hdls::simd::SimdMode::Auto), scalar);
     hdls::simd::set_mode(hdls::simd::SimdMode::Auto);
 }
 

@@ -196,9 +196,7 @@ TEST(ShmTransportTest, BackpressureBlocksAndDrains) {
 }
 
 TEST(ShmTransportTest, CollectivesAndWindowAtomicsAgree) {
-    Topology topo;
-    topo.ranks_per_node = 2;
-    Runtime::run(4, topo, TransportKind::Shm, [](Context& ctx) {
+    Runtime::run(4, Topology::flat(2), TransportKind::Shm, [](Context& ctx) {
         const Comm& w = ctx.world();
         EXPECT_EQ(w.allgather(ctx.rank() + 1), (std::vector<int>{1, 2, 3, 4}));
 
@@ -346,34 +344,6 @@ TEST(PeerFailureTest, RanksParkedInCollectivesObserveAbort) {
     }
 }
 
-TEST(PeerFailureTest, PendingAtomicUpdateRequestObservesAbort) {
-    try {
-        Runtime::run(2, TransportKind::Threads, [](Context& ctx) {
-            const Comm& w = ctx.world();
-            Window win = Window::allocate_shared(w, sizeof(std::int64_t));
-            w.barrier();
-            if (ctx.rank() == 1) {
-                throw std::runtime_error("boom");
-            }
-            // Wait for the failure in a barrier rank 1 never joins, then
-            // drive a fresh request: its next completion attempt must
-            // observe the abort, not spin.
-            EXPECT_THROW(w.barrier(), Error);
-            auto req = win.start_atomic_update<std::int64_t>(
-                0, 0, [](std::int64_t v) { return v + 1; });
-            try {
-                (void)req.wait();
-                ADD_FAILURE() << "request completed past a peer failure";
-            } catch (const Error& e) {
-                EXPECT_EQ(e.code(), ErrorCode::Aborted);
-            }
-        });
-        FAIL() << "the primary exception must propagate";
-    } catch (const std::runtime_error& e) {
-        EXPECT_STREQ(e.what(), "boom");
-    }
-}
-
 // --------------------------------------------------------- epoch hygiene ----
 
 TEST(EpochOwnershipTest, LocalUnwindReleasesHeldEpochs) {
@@ -460,7 +430,7 @@ TEST(EpochOwnershipTest, FreeIsAbortSafe) {
 // ---------------------------------------------------------- replay parity ----
 
 /// Executes the hierarchical loop and returns the sorted multiset of leaf
-/// sub-chunks (mirrors test_prefetch.cpp's helper, plus transport pinning).
+/// sub-chunks (mirrors test_hierarchy.cpp's helper, plus transport pinning).
 [[nodiscard]] std::vector<std::pair<std::int64_t, std::int64_t>> executed_chunks(
     const ClusterShape& shape, HierConfig cfg, TransportKind kind, std::int64_t n) {
     cfg.transport = kind;
@@ -485,33 +455,28 @@ TEST(TransportParityTest, ChunkMultisetsMatchAcrossTransports) {
         ClusterShape shape;
         std::vector<TopologyLevel> tree;
         std::vector<LevelConfig> levels;
-        bool prefetch;
     };
     const std::vector<Case> cases = {
-        {{4, 4}, {}, {}, false},  // classic two-level defaults (GSS+GSS)
+        {{4, 4}, {}, {}},  // classic two-level defaults (GSS+GSS)
         {{3, 2},
          {{"nodes", 3}, {"cores", 2}},
-         {{Technique::TSS, std::nullopt}, {Technique::SS, std::nullopt}},
-         false},
+         {{Technique::TSS, std::nullopt}, {Technique::SS, std::nullopt}}},
         {{4, 2},
          {{"nodes", 4}, {"cores", 2}},
-         {{Technique::WF, std::nullopt}, {Technique::GSS, std::nullopt}},
-         true},  // prefetch rides the same seam; parity must survive it
+         {{Technique::WF, std::nullopt}, {Technique::GSS, std::nullopt}}},
         {{6, 2},
          {{"racks", 2}, {"nodes", 3}, {"cores", 2}},
          {{Technique::FAC2, std::nullopt},
           {Technique::GSS, std::nullopt},
-          {Technique::SS, std::nullopt}},
-         false},
+          {Technique::SS, std::nullopt}}},
     };
     for (const Case& c : cases) {
         for (const std::int64_t n : {std::int64_t{103}, std::int64_t{3000}}) {
             HierConfig cfg;
             cfg.topology = c.tree;
             cfg.levels = c.levels;
-            cfg.prefetch = c.prefetch;
             SCOPED_TRACE("depth=" + std::to_string(std::max<std::size_t>(c.tree.size(), 2)) +
-                         " n=" + std::to_string(n) + " prefetch=" + std::to_string(c.prefetch));
+                         " n=" + std::to_string(n));
             EXPECT_EQ(executed_chunks(c.shape, cfg, TransportKind::Threads, n),
                       executed_chunks(c.shape, cfg, TransportKind::Shm, n));
         }
